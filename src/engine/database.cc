@@ -37,6 +37,21 @@ const Table& Database::table(const std::string& name) const {
   return it->second;
 }
 
+void CoreReturn::operator()(Core* core) const {
+  db->free_cores_.push_back(std::unique_ptr<Core>(core));
+}
+
+CorePtr Database::AcquireCore() {
+  if (free_cores_.empty()) {
+    return CorePtr(new Core(mem_, code_map_, config_.pmu_costs), CoreReturn{this});
+  }
+  CorePtr core(free_cores_.back().release(), CoreReturn{this});
+  free_cores_.pop_back();
+  core->cpu.Reset();
+  core->pmu = Pmu(config_.pmu_costs);
+  return core;
+}
+
 void Database::ResetScratch() {
   mem_.ResetRegion(hashtables_region_);
   mem_.ResetRegion(state_region_);

@@ -2,19 +2,22 @@
 //
 // Constructing a Database is "engine start-up": the shared runtime functions are built in VIR
 // and compiled, and the kernel/system-library host segments are registered. Queries compiled
-// against a Database add their own generated-code segments.
+// against a Database add their own generated-code segments. The Database also pools the
+// simulated cores every execution runs on (see AcquireCore).
 #ifndef DFP_SRC_ENGINE_DATABASE_H_
 #define DFP_SRC_ENGINE_DATABASE_H_
 
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/pmu/pmu.h"
 #include "src/runtime/runtime.h"
 #include "src/storage/stringheap.h"
 #include "src/storage/table.h"
 #include "src/vcpu/code_map.h"
+#include "src/vcpu/cpu.h"
 #include "src/vcpu/vmem.h"
 
 namespace dfp {
@@ -31,6 +34,25 @@ struct DatabaseConfig {
   PmuCosts pmu_costs;
 };
 
+// One simulated core: a PMU and the CPU that feeds it, running on a database's memory and
+// code map.
+struct Core {
+  Core(VMem& mem, const CodeMap& code_map, const PmuCosts& costs)
+      : pmu(costs), cpu(mem, code_map, pmu) {}
+
+  Pmu pmu;
+  Cpu cpu;
+};
+
+class Database;
+
+// Hands a core back to its database's free list instead of freeing it.
+struct CoreReturn {
+  Database* db = nullptr;
+  void operator()(Core* core) const;
+};
+using CorePtr = std::unique_ptr<Core, CoreReturn>;
+
 class Database {
  public:
   explicit Database(DatabaseConfig config = DatabaseConfig());
@@ -39,7 +61,6 @@ class Database {
   CodeMap& code_map() { return code_map_; }
   Runtime& runtime() { return *runtime_; }
   StringHeap& strings() { return *strings_; }
-  const PmuCosts& pmu_costs() const { return config_.pmu_costs; }
 
   uint32_t columns_region() const { return columns_region_; }
   uint32_t strings_region() const { return strings_region_; }
@@ -71,7 +92,18 @@ class Database {
   // strings are untouched.
   void ResetScratch();
 
+  // A core in its just-constructed state: empty caches and predictor, TSC 0, unpinned, and an
+  // unarmed PMU with this database's costs. Every execution runs on cores acquired here. A core
+  // is built only when the free list is empty (a cache hierarchy is megabytes of lines); the
+  // CorePtr returns it to the free list, and Cpu::Reset makes reuse indistinguishable from a
+  // fresh core. Live CorePtrs must not outlive the Database.
+  CorePtr AcquireCore();
+  // Cores currently on the free list (all cores ever built, once no run holds any).
+  size_t pooled_cores() const { return free_cores_.size(); }
+
  private:
+  friend struct CoreReturn;
+
   DatabaseConfig config_;
   VMem mem_;
   CodeMap code_map_;
@@ -84,6 +116,8 @@ class Database {
   std::unique_ptr<Runtime> runtime_;
   std::map<std::string, Table> tables_;
   uint64_t catalog_version_ = 0;
+  // Declared after mem_ and code_map_, which the cores borrow, so it is destroyed first.
+  std::vector<std::unique_ptr<Core>> free_cores_;
 };
 
 }  // namespace dfp

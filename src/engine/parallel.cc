@@ -61,17 +61,15 @@ bool OrderSensitive(const PipelineArtifact& artifact) {
 
 }  // namespace
 
-// One simulated core: its own PMU (sample buffer, counters) and CPU (TSC, caches, predictor,
-// shadow call stack, tag register), sharing the database's memory and code map.
+// One worker: a core borrowed from the database's pool for the run's lifetime (its own PMU and
+// CPU — TSC, caches, predictor, shadow call stack, tag register) plus its schedule counters.
 struct ParallelRun::Worker {
-  Worker(Database& db, uint32_t id, uint32_t session_id)
-      : pmu(db.pmu_costs()), cpu(db.mem(), db.code_map(), pmu) {
-    cpu.set_worker_id(id);
-    cpu.set_session_id(session_id);
-  }
+  explicit Worker(CorePtr borrowed)
+      : core(std::move(borrowed)), pmu(core->pmu), cpu(core->cpu) {}
 
-  Pmu pmu;
-  Cpu cpu;
+  CorePtr core;
+  Pmu& pmu;
+  Cpu& cpu;
   uint64_t busy_cycles = 0;
   uint64_t work_items = 0;
   uint64_t steals = 0;
@@ -96,9 +94,12 @@ ParallelRun::ParallelRun(Database& db, CompiledQuery& query, const ParallelConfi
 
   workers_.reserve(config.workers);
   for (uint32_t i = 0; i < config.workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(db, i, session_id));
-    workers_.back()->cpu.set_shard_id(config.shard_id);
-    workers_.back()->cpu.ConfigureNuma(&numa_, static_cast<uint8_t>(i % numa_.nodes()));
+    workers_.push_back(std::make_unique<Worker>(db.AcquireCore()));
+    Cpu& cpu = workers_.back()->cpu;
+    cpu.set_worker_id(i);
+    cpu.set_session_id(session_id);
+    cpu.set_shard_id(config.shard_id);
+    cpu.ConfigureNuma(&numa_, static_cast<uint8_t>(i % numa_.nodes()));
     if (sampling != nullptr) {
       workers_.back()->pmu.Configure(*sampling);
     }

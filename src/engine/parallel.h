@@ -10,11 +10,15 @@
 // lowest (greedy earliest-finish, ties to the lowest id); order-sensitive pipelines (bare
 // LIMIT, whose result is "the first N produced") always use it so results stay well-defined.
 // Either way the schedule is a deterministic function of the query and the configuration.
-// Every worker owns a full core model — its own TSC, cache hierarchy, branch predictor, shadow
-// call stack, tag register, and PEBS-like sample buffer — and is pinned to a NUMA node of the
-// run's topology (worker id modulo node count), so cross-node accesses are counted per worker
-// and pay the remote-DRAM penalty. Host steps (hash-table creation, buffer allocation, sorting)
-// and pipelines without a scannable source run on worker 0 while the others idle at a barrier.
+// Every worker runs on a full core model — its own TSC, cache hierarchy, branch predictor,
+// shadow call stack, tag register, and PEBS-like sample buffer — borrowed from the database's
+// core pool for the run's lifetime (Database::AcquireCore). A pooled core is reset to its
+// just-constructed state in O(1) (the cache levels invalidate by epoch), so a run behaves
+// exactly as on freshly built cores, and concurrent runs hold disjoint cores. Each worker is
+// pinned to a NUMA node of the run's topology (worker id modulo node count), so cross-node
+// accesses are counted per worker and pay the remote-DRAM penalty. Host steps (hash-table
+// creation, buffer allocation, sorting) and pipelines without a scannable source run on
+// worker 0 while the others idle at a barrier.
 // After the run the per-worker sample streams are merged by TSC into one stream whose samples
 // carry `worker_id`, so every report works unchanged on parallel runs.
 //
@@ -139,6 +143,8 @@ class ParallelRun {
   // orders its deques and picks steal victims by it — zero-slack (critical-path) morsels run
   // first, high-slack work is deferred to thieves. The profile only permutes the schedule,
   // never the morsel set, so results stay byte-identical to the unhinted run.
+  // The run acquires `config.workers` cores from `db` here and returns them when destroyed,
+  // finished or not.
   ParallelRun(Database& db, CompiledQuery& query, const ParallelConfig& config,
               ScratchRegions regions, const SamplingConfig* sampling, uint32_t session_id = 0,
               const PlanSlack* slack = nullptr);

@@ -17,12 +17,13 @@ Result QueryEngine::Execute(CompiledQuery& query) {
   db_->ResetScratch();
   last_worker_metrics_.clear();
   last_task_boundaries_.clear();
-  Pmu pmu(db_->pmu_costs());
+  CorePtr core = db_->AcquireCore();
+  Pmu& pmu = core->pmu;
+  Cpu& cpu = core->cpu;
   ProfilingSession* session = query.session;
   if (session != nullptr) {
     pmu.Configure(session->MakeSamplingConfig());
   }
-  Cpu cpu(db_->mem(), db_->code_map(), pmu);
   VMem& mem = db_->mem();
 
   const VAddr state = mem.Alloc(db_->state_region(), std::max<uint64_t>(8, query.state_bytes));

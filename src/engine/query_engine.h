@@ -24,8 +24,9 @@ class QueryEngine {
                         std::string name = "query",
                         const CodegenOptions& options = CodegenOptions());
 
-  // Runs a compiled query on a fresh VCPU. Per-query scratch memory is reset first, so results
-  // of previous executions must be read back before re-executing. When the query was compiled
+  // Runs a compiled query on a core from the database's pool (Database::AcquireCore), which
+  // starts in a fresh state. Per-query scratch memory is reset first, so results of previous
+  // executions must be read back before re-executing. When the query was compiled
   // with a profiling session, the PMU is armed with the session's sampling configuration and the
   // collected samples are handed to the session afterwards. The query must not have been
   // compiled with CodegenOptions::parallel (use ExecuteParallel for those).

@@ -105,8 +105,9 @@ int64_t FinalizePartial(const MergeAggSpec& spec, const PartialAcc& acc) {
 ShardMerger::ShardMerger(ShardCatalog& catalog, MergeCosts costs, SamplingConfig sampling)
     : catalog_(catalog),
       costs_(costs),
-      pmu_(catalog.db(0).pmu_costs()),
-      cpu_(catalog.db(0).mem(), catalog.db(0).code_map(), pmu_),
+      core_(catalog.db(0).AcquireCore()),
+      pmu_(core_->pmu),
+      cpu_(core_->cpu),
       numa_(NumaConfig{}) {
   pmu_.Configure(sampling);
   segment_ = catalog_.db(0).code_map().AddHostSegment(SegmentKind::kKernel, "shard.merge",

@@ -80,8 +80,9 @@ class ShardMerger {
 
   ShardCatalog& catalog_;
   MergeCosts costs_;
-  Pmu pmu_;
-  Cpu cpu_;
+  CorePtr core_;  // Shard 0's pooled core, held for the merger's lifetime.
+  Pmu& pmu_;
+  Cpu& cpu_;
   NumaMap numa_;
   uint32_t segment_ = 0;                 // "shard.merge" kernel segment.
   std::vector<VAddr> stage_base_;        // Ring base per shard (index 0 unused).

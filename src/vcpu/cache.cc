@@ -26,25 +26,21 @@ bool CacheLevel::Access(VAddr addr) {
   uint32_t victim = 0;
   uint64_t victim_age = ~0ull;
   for (uint32_t way = 0; way < ways_; ++way) {
-    if (set_lines[way].tag == tag) {
+    const bool valid = set_lines[way].age > epoch_;
+    if (valid && set_lines[way].tag == tag) {
       set_lines[way].age = tick_;
       return true;
     }
-    if (set_lines[way].age < victim_age) {
-      victim_age = set_lines[way].age;
+    // Invalid lines count as age 0, as in a fresh level: the first empty way is the victim.
+    const uint64_t age = valid ? set_lines[way].age : 0;
+    if (age < victim_age) {
+      victim_age = age;
       victim = way;
     }
   }
   set_lines[victim].tag = tag;
   set_lines[victim].age = tick_;
   return false;
-}
-
-void CacheLevel::Reset() {
-  for (Line& line : lines_) {
-    line = Line();
-  }
-  tick_ = 0;
 }
 
 CacheHierarchy::CacheHierarchy(const CacheConfig& config)

@@ -41,7 +41,9 @@ struct CacheStats {
 };
 
 // One inclusive cache level. LRU is tracked with per-line ages (small associativity makes the
-// linear scan cheap).
+// linear scan cheap). The age clock `tick_` only ever advances; Reset() invalidates every line
+// in O(1) by moving the epoch up to it, so a line is valid iff its age is past the epoch. That
+// lets pooled cores be reused without rewriting megabytes of lines per run.
 class CacheLevel {
  public:
   CacheLevel(const CacheLevelConfig& config, uint32_t line_bytes);
@@ -50,7 +52,8 @@ class CacheLevel {
   bool Access(VAddr addr);
 
   uint32_t latency() const { return latency_; }
-  void Reset();
+  // Empties the level: afterwards it behaves exactly like a freshly constructed one.
+  void Reset() { epoch_ = tick_; }
 
  private:
   struct Line {
@@ -63,6 +66,7 @@ class CacheLevel {
   uint32_t set_count_;
   uint32_t line_shift_;
   uint64_t tick_ = 0;
+  uint64_t epoch_ = 0;  // Lines aged at or before the epoch are invalid.
   std::vector<Line> lines_;  // set-major: lines_[set * ways_ + way]
 };
 
@@ -75,6 +79,7 @@ class CacheHierarchy {
 
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats(); }
+  // Empties every level and clears the stats in O(1) (see CacheLevel).
   void Reset();
 
  private:

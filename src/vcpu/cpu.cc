@@ -27,6 +27,24 @@ Cpu::Cpu(VMem& mem, const CodeMap& code_map, Pmu& pmu, CacheConfig cache_config)
   frames_.reserve(64);
 }
 
+void Cpu::Reset() {
+  cache_.Reset();
+  predictor_.Reset();
+  frames_.clear();
+  cycles_ = 0;
+  tag_reg_ = 0;
+  worker_id_ = 0;
+  session_id_ = 0;
+  shard_id_ = 0;
+  numa_ = nullptr;
+  node_id_ = 0;
+  stolen_work_ = false;
+  numa_stats_ = NumaStats();
+  host_ip_counter_ = 0;
+  ret_value_ = 0;
+  stats_ = CpuStats();
+}
+
 uint64_t Cpu::CallFunction(uint32_t func_id, std::span<const uint64_t> args) {
   const FuncInfo& func = code_map_.function(func_id);
   if (func.is_host) {
@@ -354,11 +372,11 @@ void Cpu::NumaAccess(VAddr addr, int hit_level, uint32_t* cost, uint8_t* mem_nod
   if (numa_ == nullptr) {
     return;
   }
-  const uint8_t machine = numa_->MachineNodeOf(addr);
-  if (machine != kLocalMachineNode) {
+  const NumaMap::Location location = numa_->Locate(addr);
+  if (location.machine != kLocalMachineNode) {
     // Memory homed on another machine node: a shard-fabric hop, costlier than any cross-socket
     // path. The sample reports the owning machine node in `mem_node` with the cross flag set.
-    *mem_node = machine;
+    *mem_node = location.machine;
     *cross = true;
     ++numa_stats_.cross_node_accesses;
     if (hit_level >= 4) {
@@ -368,7 +386,7 @@ void Cpu::NumaAccess(VAddr addr, int hit_level, uint32_t* cost, uint8_t* mem_nod
     }
     return;
   }
-  const uint8_t node = numa_->NodeOf(addr);
+  const uint8_t node = location.node;
   if (node == kNoNumaNode) {
     return;
   }

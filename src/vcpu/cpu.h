@@ -33,6 +33,11 @@ class Cpu {
  public:
   Cpu(VMem& mem, const CodeMap& code_map, Pmu& pmu, CacheConfig cache_config = CacheConfig());
 
+  // Returns the core to its just-constructed state: empty caches and predictor, no frames, TSC
+  // and tag register 0, no ids, unpinned, and zeroed counters. The PMU is not touched. Cheap
+  // (the cache levels reset by epoch), which is what lets a Database pool its cores.
+  void Reset();
+
   // Calls a function (compiled or host) and runs it to completion. Returns its result.
   uint64_t CallFunction(uint32_t func_id, std::span<const uint64_t> args);
 

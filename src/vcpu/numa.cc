@@ -63,26 +63,29 @@ void NumaMap::Seal() {
   sealed_ = true;
 }
 
-uint8_t NumaMap::NodeOf(VAddr addr) const {
+NumaMap::Location NumaMap::Locate(VAddr addr) const {
   DFP_CHECK(sealed_);
   // Last span whose base is <= addr (spans are sorted and disjoint).
   auto it = std::upper_bound(spans_.begin(), spans_.end(), addr,
                              [](VAddr a, const Span& span) { return a < span.base; });
   if (it == spans_.begin()) {
-    return kNoNumaNode;
+    return Location();
   }
   const Span& span = *(it - 1);
   const uint64_t offset = addr - span.base;
   if (offset >= span.size) {
-    return kNoNumaNode;
+    return Location();
   }
+  Location location;
   if (span.machine != kLocalMachineNode) {
     // Another machine node's memory: socket-level placement does not apply; the cross-node
-    // path (MachineNodeOf) owns the attribution.
-    return kNoNumaNode;
+    // path owns the attribution.
+    location.machine = span.machine;
+    return location;
   }
   if (span.interleaved) {
-    return static_cast<uint8_t>((offset / config_.interleave_bytes) % config_.nodes);
+    location.node = static_cast<uint8_t>((offset / config_.interleave_bytes) % config_.nodes);
+    return location;
   }
   if (span.custom >= 0) {
     // Custom range partition: first slice whose end fraction lies past this offset.
@@ -94,25 +97,13 @@ uint8_t NumaMap::NodeOf(VAddr addr) const {
     if (slice == map.end()) {
       slice = map.end() - 1;
     }
-    return static_cast<uint8_t>(slice->node % config_.nodes);
+    location.node = static_cast<uint8_t>(slice->node % config_.nodes);
+    return location;
   }
   // Range partition: equal contiguous shares, so element i of an N-element array lands on the
   // same node as morsel rows [i, ...) of an N-row scan.
-  return static_cast<uint8_t>(offset * config_.nodes / span.size);
-}
-
-uint8_t NumaMap::MachineNodeOf(VAddr addr) const {
-  DFP_CHECK(sealed_);
-  auto it = std::upper_bound(spans_.begin(), spans_.end(), addr,
-                             [](VAddr a, const Span& span) { return a < span.base; });
-  if (it == spans_.begin()) {
-    return kLocalMachineNode;
-  }
-  const Span& span = *(it - 1);
-  if (addr - span.base >= span.size) {
-    return kLocalMachineNode;
-  }
-  return span.machine;
+  location.node = static_cast<uint8_t>(offset * config_.nodes / span.size);
+  return location;
 }
 
 }  // namespace dfp

@@ -77,13 +77,16 @@ class NumaMap {
   // Call after registration, before lookups: sorts the span table for binary search.
   void Seal();
 
-  // Node owning `addr`, or kNoNumaNode for memory outside any registered span (code, strings,
-  // other sessions' regions): such memory is treated as uniformly reachable and never remote.
-  uint8_t NodeOf(VAddr addr) const;
-
-  // Machine node whose memory serves `addr`, or kLocalMachineNode for everything not registered
-  // via AddCrossNode (all of the accessing node's own memory).
-  uint8_t MachineNodeOf(VAddr addr) const;
+  // Where `addr`'s memory lives, found with one span lookup. `node` is the socket node owning
+  // it, or kNoNumaNode for memory outside any registered span (code, strings, other sessions'
+  // regions — treated as uniformly reachable and never remote) and for cross-node spans.
+  // `machine` is the machine node whose memory serves it, or kLocalMachineNode for everything
+  // not registered via AddCrossNode (all of the accessing node's own memory).
+  struct Location {
+    uint8_t node = kNoNumaNode;
+    uint8_t machine = kLocalMachineNode;
+  };
+  Location Locate(VAddr addr) const;
 
  private:
   struct Span {

@@ -2,13 +2,18 @@
 
 namespace dfp {
 
-VMem::VMem(uint64_t capacity) : bytes_(capacity, 0), next_base_(64) {
+VMem::VMem(uint64_t capacity)
+    : capacity_(capacity),
+      bytes_(static_cast<uint8_t*>(std::calloc(capacity, 1))),
+      next_base_(64) {
+  // calloc hands large blocks out as fresh kernel pages, zeroed on first touch.
+  DFP_CHECK(capacity == 0 || bytes_ != nullptr);
   // The first 64 bytes are reserved so that address 0 acts as a null pointer and small
   // accidental offsets fault visibly in tests.
 }
 
 uint32_t VMem::CreateRegion(const std::string& name, uint64_t size) {
-  DFP_CHECK(next_base_ + size <= bytes_.size());
+  DFP_CHECK(next_base_ + size <= capacity_);
   MemRegion region;
   region.name = name;
   region.base = next_base_;
@@ -31,7 +36,7 @@ VAddr VMem::Alloc(uint32_t region_id, uint64_t bytes, uint64_t align) {
 void VMem::ResetRegion(uint32_t region_id) {
   DFP_CHECK(region_id < regions_.size());
   MemRegion& region = regions_[region_id];
-  std::memset(bytes_.data() + region.base, 0, region.used);
+  std::memset(bytes_.get() + region.base, 0, region.used);
   region.used = 0;
 }
 

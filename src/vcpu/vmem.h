@@ -8,8 +8,10 @@
 #define DFP_SRC_VCPU_VMEM_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,8 +53,9 @@ using PartitionMap = std::vector<PartitionSlice>;
 
 class VMem {
  public:
-  // `capacity` is the total arena size in bytes; the arena is allocated eagerly so that
-  // addresses are stable for the lifetime of the VMem.
+  // `capacity` is the total arena size in bytes; the arena is reserved up front so that
+  // addresses are stable for the lifetime of the VMem. It reads as zeros throughout, but is
+  // zero-backed lazily (calloc), so untouched pages cost neither time nor resident memory.
   explicit VMem(uint64_t capacity);
 
   // Creates a named region of `size` bytes. Regions are carved out sequentially.
@@ -69,29 +72,29 @@ class VMem {
 
   // Raw accessors. Bounds-checked in debug builds via DFP_CHECK.
   uint8_t* Data(VAddr addr) {
-    DFP_CHECK(addr < bytes_.size());
-    return bytes_.data() + addr;
+    DFP_CHECK(addr < capacity_);
+    return bytes_.get() + addr;
   }
   const uint8_t* Data(VAddr addr) const {
-    DFP_CHECK(addr < bytes_.size());
-    return bytes_.data() + addr;
+    DFP_CHECK(addr < capacity_);
+    return bytes_.get() + addr;
   }
 
   template <typename T>
   T Read(VAddr addr) const {
-    DFP_CHECK(addr + sizeof(T) <= bytes_.size());
+    DFP_CHECK(addr + sizeof(T) <= capacity_);
     T value;
-    std::memcpy(&value, bytes_.data() + addr, sizeof(T));
+    std::memcpy(&value, bytes_.get() + addr, sizeof(T));
     return value;
   }
 
   template <typename T>
   void Write(VAddr addr, T value) {
-    DFP_CHECK(addr + sizeof(T) <= bytes_.size());
-    std::memcpy(bytes_.data() + addr, &value, sizeof(T));
+    DFP_CHECK(addr + sizeof(T) <= capacity_);
+    std::memcpy(bytes_.get() + addr, &value, sizeof(T));
   }
 
-  uint64_t capacity() const { return bytes_.size(); }
+  uint64_t capacity() const { return capacity_; }
   // First address not yet carved into a region (where the next CreateRegion would start).
   uint64_t next_base() const { return next_base_; }
   const std::vector<MemRegion>& regions() const { return regions_; }
@@ -117,7 +120,12 @@ class VMem {
   const PartitionMap* ExtentPlacement(VAddr base) const;
 
  private:
-  std::vector<uint8_t> bytes_;
+  struct Free {
+    void operator()(uint8_t* bytes) const { std::free(bytes); }
+  };
+
+  uint64_t capacity_;
+  std::unique_ptr<uint8_t[], Free> bytes_;
   std::vector<MemRegion> regions_;
   std::vector<MemExtent> partitioned_;
   std::map<VAddr, PartitionMap> placements_;

@@ -134,6 +134,71 @@ TEST(ParallelTest, MergedSampleStreamIsDeterministic) {
   EXPECT_TRUE(beyond_worker0);
 }
 
+// Everything a parallel run reports that depends on core state: the serialized sample stream
+// with its task boundaries, each worker's metrics, and the wall clock.
+std::string DumpRun(const QueryEngine& engine, const ProfilingSession& session) {
+  std::ostringstream out;
+  WriteSamples(session.samples(), {}, engine.last_task_boundaries(), out);
+  for (const WorkerMetrics& w : engine.last_worker_metrics()) {
+    out << "worker " << w.worker_id << ' ' << int{w.node} << ' ' << w.busy_cycles << ' '
+        << w.idle_cycles << ' ' << w.morsels << ' ' << w.steals << ' ' << w.samples << ' '
+        << w.sampling_overhead.total_cycles() << ' ' << w.sampling_overhead.flushes;
+    for (uint64_t value : w.counters.values) {
+      out << ' ' << value;
+    }
+    out << ' ' << w.cache_stats.accesses << ' ' << w.cache_stats.l1_misses << ' '
+        << w.cache_stats.l2_misses << ' ' << w.cache_stats.l3_misses << ' '
+        << w.cpu_stats.instructions << ' ' << w.cpu_stats.calls << ' '
+        << w.cpu_stats.max_stack_depth << ' ' << w.numa_stats.local_accesses << ' '
+        << w.numa_stats.remote_accesses << ' ' << w.numa_stats.remote_dram << '\n';
+  }
+  out << "wall " << engine.last_cycles() << '\n';
+  return out.str();
+}
+
+// Runs on one Database reuse its pooled cores; every run must report exactly what a run on a
+// fresh Database does, even after a sequential run and a wider pool have dirtied the cores.
+TEST(ParallelTest, PooledCoresRunLikeFreshOnes) {
+  TpchOptions options;
+  options.scale = 0.002;
+  const QuerySpec& spec = FindQuery("q3");
+  ProfilingConfig pconfig;
+  pconfig.period = 311;
+  ParallelConfig config;
+  config.workers = 4;
+
+  Database fresh_db;
+  GenerateTpch(fresh_db, options);
+  QueryEngine fresh_engine(&fresh_db);
+  ProfilingSession fresh_session(pconfig);
+  CompiledQuery fresh_query = fresh_engine.Compile(BuildQueryPlan(fresh_db, spec),
+                                                   &fresh_session, "q3_par", ParallelOptions());
+  fresh_engine.ExecuteParallel(fresh_query, config);
+  const std::string expected = DumpRun(fresh_engine, fresh_session);
+  EXPECT_EQ(fresh_db.pooled_cores(), 4u);
+
+  Database db;
+  GenerateTpch(db, options);
+  QueryEngine engine(&db);
+  ProfilingSession session(pconfig);
+  CompiledQuery query =
+      engine.Compile(BuildQueryPlan(db, spec), &session, "q3_par", ParallelOptions());
+  CompiledQuery sequential = engine.Compile(BuildQueryPlan(db, FindQuery("q1")), nullptr, "q1");
+  CompiledQuery wide = engine.Compile(BuildQueryPlan(db, FindQuery("q6")), nullptr, "q6_par",
+                                      ParallelOptions());
+  ParallelConfig wide_config;
+  wide_config.workers = 6;
+  wide_config.numa_nodes = 2;
+  for (int run = 0; run < 3; ++run) {
+    engine.ExecuteParallel(query, config);
+    EXPECT_EQ(DumpRun(engine, session), expected) << "run " << run;
+    engine.Execute(sequential);
+    engine.ExecuteParallel(wide, wide_config);
+  }
+  // The pool grew to the widest run and no further.
+  EXPECT_EQ(db.pooled_cores(), 6u);
+}
+
 TEST(ParallelTest, SerializationRoundTripsWorkerIds) {
   Database& db = *TpchDb();
   QueryEngine engine(&db);

@@ -158,11 +158,16 @@ TEST(QueryServiceTest, ConcurrentSessionsKeepStandaloneProfiles) {
   service.Drain();
   TicketId q6_alone = service.Submit(Plan(*db, "q6"), "q6");
   service.Drain();
+  // Sequential runs reuse one set of pooled cores.
+  EXPECT_EQ(db->pooled_cores(), 4u);
 
   // Concurrent: both in flight, time-sharing the pool (q1 on slot 0, q6 on slot 1).
   TicketId q1_conc = service.Submit(Plan(*db, "q1"), "q1");
   TicketId q6_conc = service.Submit(Plan(*db, "q6"), "q6");
   service.Drain();
+  // The two in-flight runs held disjoint cores: a core leaves the free list while a run holds
+  // it, so the second run had to build four more.
+  EXPECT_EQ(db->pooled_cores(), 8u);
 
   const QueryTicket& a1 = service.ticket(q1_alone);
   const QueryTicket& c1 = service.ticket(q1_conc);
@@ -250,12 +255,18 @@ TEST(QueryServiceTest, DeadlineAbortsMidRun) {
   EXPECT_GT(timed_out.execute_cycles, full_cycles / 2);
   EXPECT_LT(timed_out.execute_cycles, full_cycles);
   EXPECT_EQ(timed_out.result.row_count(), 0u);
+  // The abandoned run returned its cores.
+  EXPECT_EQ(db->pooled_cores(), 4u);
 
-  // The service keeps serving, and the abandoned slot is safely reusable.
+  // The service keeps serving, and the abandoned slot and cores are safely reusable: the next
+  // run is byte-identical to the first.
   TicketId after = service.Submit(Plan(*db, "q1"), "q1");
   service.Drain();
   EXPECT_EQ(service.ticket(after).status, TicketStatus::kDone);
   EXPECT_EQ(service.ticket(after).result.rows(), service.ticket(full).result.rows());
+  EXPECT_EQ(service.ticket(after).execute_cycles, full_cycles);
+  EXPECT_EQ(DumpSamples(*service.ticket(after).session),
+            DumpSamples(*service.ticket(full).session));
 }
 
 TEST(QueryServiceTest, CodeBudgetEvictsLeastRecentlyUsed) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "src/vcpu/branch_predictor.h"
 #include "src/vcpu/cache.h"
 
@@ -56,6 +59,51 @@ TEST(Cache, SequentialScanMostlyHits) {
   uint64_t misses = cache.stats().l1_misses - misses_before;
   // One miss per 64-byte line (8 accesses per line).
   EXPECT_EQ(misses, 1024u);
+}
+
+// 100K addresses: a hot 16 KiB set (L1 hits), a warm 1 MiB set (L2/L3) and a cold 64 MiB
+// range (memory), so every level both hits and evicts.
+std::vector<VAddr> AddressStream(uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<VAddr> stream(100000);
+  for (VAddr& addr : stream) {
+    const uint64_t pick = rng() % 10;
+    const uint64_t range = pick < 5 ? (16ull << 10) : pick < 8 ? (1ull << 20) : (64ull << 20);
+    addr = 0x100000 + rng() % range;
+  }
+  return stream;
+}
+
+std::vector<int> HitLevels(CacheHierarchy& cache, const std::vector<VAddr>& stream) {
+  std::vector<int> levels;
+  levels.reserve(stream.size());
+  for (VAddr addr : stream) {
+    levels.push_back(cache.Access(addr).hit_level);
+  }
+  return levels;
+}
+
+TEST(Cache, ResetBehavesLikeFreshHierarchy) {
+  CacheHierarchy reused;
+  HitLevels(reused, AddressStream(1));
+  // Seeds repeat so that some rounds replay a stream whose tags are still stored in the reset
+  // (invalid) lines: those must miss exactly as in an empty hierarchy.
+  for (uint32_t seed : {1u, 1u, 2u, 3u, 2u}) {
+    reused.Reset();
+    EXPECT_EQ(reused.stats().accesses, 0u);
+    CacheHierarchy fresh;
+    const std::vector<VAddr> stream = AddressStream(seed);
+    EXPECT_EQ(HitLevels(reused, stream), HitLevels(fresh, stream)) << "seed " << seed;
+    EXPECT_EQ(reused.stats().accesses, fresh.stats().accesses);
+    EXPECT_EQ(reused.stats().l1_misses, fresh.stats().l1_misses);
+    EXPECT_EQ(reused.stats().l2_misses, fresh.stats().l2_misses);
+    EXPECT_EQ(reused.stats().l3_misses, fresh.stats().l3_misses);
+    // The stream exercises every level: hits in L1, L2 and L3, and misses to memory.
+    EXPECT_LT(fresh.stats().l1_misses, fresh.stats().accesses);
+    EXPECT_LT(fresh.stats().l2_misses, fresh.stats().l1_misses);
+    EXPECT_LT(fresh.stats().l3_misses, fresh.stats().l2_misses);
+    EXPECT_GT(fresh.stats().l3_misses, 0u);
+  }
 }
 
 TEST(BranchPredictor, LearnsStableBranch) {

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "src/ir/builder.h"
+#include "src/vcpu/numa.h"
 #include "tests/testing/vcpu_harness.h"
 
 namespace dfp {
@@ -47,6 +48,73 @@ TEST(Cpu, CountsEventsAndCycles) {
   EXPECT_GT(harness.pmu.counters()[PmuEvent::kInstrRetired], 5000u);
   // Sequential 8-byte loads: one L1 miss per 64-byte line.
   EXPECT_NEAR(static_cast<double>(harness.pmu.counters()[PmuEvent::kL1Miss]), 125.0, 8.0);
+}
+
+TEST(Cpu, ResetCoreRunsLikeFreshCore) {
+  VcpuHarness harness;
+  uint32_t region = harness.mem.CreateRegion("data", 1 << 20);
+  VAddr base = harness.mem.Alloc(region, 20000 * 8);
+  IrFunction fn = CountedLoop();
+  uint32_t fn_id = harness.Compile(fn);
+  SamplingConfig sampling;
+  sampling.enabled = true;
+  sampling.period = 97;
+  sampling.capture_address = true;
+  sampling.capture_registers = true;
+  NumaConfig numa_config;
+  numa_config.nodes = 2;
+  NumaMap numa(numa_config);
+  numa.AddInterleaved(base, 20000 * 8);
+  numa.Seal();
+  auto run = [&](Cpu& cpu, Pmu& pmu, uint64_t n) {
+    pmu = Pmu();
+    pmu.Configure(sampling);
+    uint64_t args[] = {base, n};
+    return cpu.CallFunction(fn_id, args);
+  };
+
+  // Dirty every piece of core state: caches, predictor, clock, ids, NUMA pin and counters.
+  Pmu used_pmu;
+  Cpu used(harness.mem, harness.code_map, used_pmu);
+  used.set_worker_id(3);
+  used.set_session_id(9);
+  used.set_shard_id(2);
+  used.ConfigureNuma(&numa, 1);
+  run(used, used_pmu, 20000);
+  ASSERT_GT(used.numa_stats().remote_accesses, 0u);
+  used.Reset();
+  EXPECT_EQ(used.tsc(), 0u);
+  EXPECT_EQ(used.stats().instructions, 0u);
+  EXPECT_EQ(used.cache().stats().accesses, 0u);
+  EXPECT_EQ(used.worker_id(), 0u);
+  EXPECT_EQ(used.session_id(), 0u);
+  EXPECT_EQ(used.shard_id(), 0u);
+  EXPECT_EQ(used.node_id(), 0u);
+
+  Pmu fresh_pmu;
+  Cpu fresh(harness.mem, harness.code_map, fresh_pmu);
+  EXPECT_EQ(run(used, used_pmu, 5000), run(fresh, fresh_pmu, 5000));
+  EXPECT_EQ(used.tsc(), fresh.tsc());
+  EXPECT_EQ(used.stats().instructions, fresh.stats().instructions);
+  EXPECT_EQ(used.stats().calls, fresh.stats().calls);
+  EXPECT_EQ(used.stats().max_stack_depth, fresh.stats().max_stack_depth);
+  EXPECT_EQ(used.cache().stats().l1_misses, fresh.cache().stats().l1_misses);
+  EXPECT_EQ(used.numa_stats().local_accesses, fresh.numa_stats().local_accesses);
+  EXPECT_EQ(used.numa_stats().remote_accesses, fresh.numa_stats().remote_accesses);
+  const std::vector<Sample>& a = used_pmu.samples();
+  const std::vector<Sample>& b = fresh_pmu.samples();
+  ASSERT_GT(b.size(), 20u);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].tsc, b[i].tsc) << "sample " << i;
+    EXPECT_EQ(a[i].ip, b[i].ip) << "sample " << i;
+    EXPECT_EQ(a[i].addr, b[i].addr) << "sample " << i;
+    EXPECT_EQ(a[i].worker_id, b[i].worker_id) << "sample " << i;
+    EXPECT_EQ(a[i].session_id, b[i].session_id) << "sample " << i;
+    EXPECT_EQ(a[i].shard_id, b[i].shard_id) << "sample " << i;
+    EXPECT_EQ(a[i].mem_node, b[i].mem_node) << "sample " << i;
+    EXPECT_EQ(a[i].regs, b[i].regs) << "sample " << i;
+  }
 }
 
 TEST(Cpu, SamplesArriveAtPeriodWithCorrectIps) {

@@ -2,18 +2,18 @@
 
 namespace dfp {
 
-std::vector<uint32_t> BlockSuccessors(const IrBlock& block) {
-  std::vector<uint32_t> successors;
+Successors BlockSuccessors(const IrBlock& block) {
+  Successors successors;
   if (block.instrs.empty()) {
     return successors;
   }
   const IrInstr& term = block.instrs.back();
   if (term.op == Opcode::kBr) {
-    successors.push_back(term.target0);
+    successors.ids[successors.count++] = term.target0;
   } else if (term.op == Opcode::kCondBr) {
-    successors.push_back(term.target0);
+    successors.ids[successors.count++] = term.target0;
     if (term.target1 != term.target0) {
-      successors.push_back(term.target1);
+      successors.ids[successors.count++] = term.target1;
     }
   }
   return successors;
@@ -22,50 +22,55 @@ std::vector<uint32_t> BlockSuccessors(const IrBlock& block) {
 LivenessInfo ComputeLiveness(const IrFunction& function) {
   const uint32_t num_vregs = function.next_vreg();
   const size_t num_blocks = function.blocks().size();
+  const size_t words = (size_t{num_vregs} + 63) / 64;
   LivenessInfo info;
-  info.blocks.resize(num_blocks);
-  for (BlockLiveness& bl : info.blocks) {
-    bl.live_in.assign(num_vregs, false);
-    bl.live_out.assign(num_vregs, false);
-  }
+  info.words = static_cast<uint32_t>(words);
+  info.live_in.assign(num_blocks * words, 0);
+  info.live_out.assign(num_blocks * words, 0);
 
-  // Per-block gen (upward-exposed uses) and kill (definitions) sets.
-  std::vector<std::vector<bool>> gen(num_blocks), kill(num_blocks);
+  // Per-block gen (upward-exposed uses) and kill (definitions) sets, and successors.
+  std::vector<uint64_t> gen(num_blocks * words, 0), kill(num_blocks * words, 0);
+  std::vector<Successors> successors(num_blocks);
   for (size_t b = 0; b < num_blocks; ++b) {
-    gen[b].assign(num_vregs, false);
-    kill[b].assign(num_vregs, false);
+    uint64_t* block_gen = gen.data() + b * words;
+    uint64_t* block_kill = kill.data() + b * words;
     for (const IrInstr& instr : function.blocks()[b].instrs) {
       ForEachUse(instr, [&](uint32_t vreg) {
-        if (!kill[b][vreg]) {
-          gen[b][vreg] = true;
+        if (!TestBit(block_kill, vreg)) {
+          SetBit(block_gen, vreg);
         }
       });
       if (instr.HasDst()) {
-        kill[b][instr.dst] = true;
+        SetBit(block_kill, instr.dst);
       }
     }
+    successors[b] = BlockSuccessors(function.blocks()[b]);
   }
 
   bool changed = true;
   while (changed) {
     changed = false;
     for (size_t b = num_blocks; b-- > 0;) {
-      BlockLiveness& bl = info.blocks[b];
+      uint64_t* live_in = info.live_in.data() + b * words;
+      uint64_t* live_out = info.live_out.data() + b * words;
       // live_out = union of successors' live_in.
-      for (uint32_t succ : BlockSuccessors(function.blocks()[b])) {
-        const std::vector<bool>& succ_in = info.blocks[succ].live_in;
-        for (uint32_t v = 0; v < num_vregs; ++v) {
-          if (succ_in[v] && !bl.live_out[v]) {
-            bl.live_out[v] = true;
+      for (uint32_t succ : successors[b]) {
+        const uint64_t* succ_in = info.live_in.data() + size_t{succ} * words;
+        for (size_t w = 0; w < words; ++w) {
+          const uint64_t added = succ_in[w] & ~live_out[w];
+          if (added != 0) {
+            live_out[w] |= added;
             changed = true;
           }
         }
       }
       // live_in = gen | (live_out & ~kill).
-      for (uint32_t v = 0; v < num_vregs; ++v) {
-        bool in = gen[b][v] || (bl.live_out[v] && !kill[b][v]);
-        if (in && !bl.live_in[v]) {
-          bl.live_in[v] = true;
+      const uint64_t* block_gen = gen.data() + b * words;
+      const uint64_t* block_kill = kill.data() + b * words;
+      for (size_t w = 0; w < words; ++w) {
+        const uint64_t added = (block_gen[w] | (live_out[w] & ~block_kill[w])) & ~live_in[w];
+        if (added != 0) {
+          live_in[w] |= added;
           changed = true;
         }
       }

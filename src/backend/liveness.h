@@ -11,21 +11,40 @@
 
 namespace dfp {
 
-struct BlockLiveness {
-  // Indexed by virtual register.
-  std::vector<bool> live_in;
-  std::vector<bool> live_out;
-};
+// Single-bit access to a word bitset: bit b lives at bit b % 64 of word b / 64.
+inline bool TestBit(const uint64_t* set, uint32_t bit) { return (set[bit / 64] >> (bit % 64)) & 1; }
+inline void SetBit(uint64_t* set, uint32_t bit) { set[bit / 64] |= uint64_t{1} << (bit % 64); }
+inline void ClearBit(uint64_t* set, uint32_t bit) { set[bit / 64] &= ~(uint64_t{1} << (bit % 64)); }
 
+// Per-block live-in and live-out sets as flat word bitsets over virtual registers: each block
+// owns `words` = ceil(vregs / 64) consecutive words.
 struct LivenessInfo {
-  std::vector<BlockLiveness> blocks;
+  uint32_t words = 0;
+  std::vector<uint64_t> live_in;   // Block b's set is live_in[b * words, (b + 1) * words).
+  std::vector<uint64_t> live_out;
 
-  bool LiveIn(uint32_t block, uint32_t vreg) const { return blocks[block].live_in[vreg]; }
-  bool LiveOut(uint32_t block, uint32_t vreg) const { return blocks[block].live_out[vreg]; }
+  const uint64_t* LiveInWords(uint32_t block) const {
+    return live_in.data() + size_t{block} * words;
+  }
+  const uint64_t* LiveOutWords(uint32_t block) const {
+    return live_out.data() + size_t{block} * words;
+  }
+  bool LiveIn(uint32_t block, uint32_t vreg) const { return TestBit(LiveInWords(block), vreg); }
+  bool LiveOut(uint32_t block, uint32_t vreg) const { return TestBit(LiveOutWords(block), vreg); }
 };
 
-// Successor block ids of a block's terminator.
-std::vector<uint32_t> BlockSuccessors(const IrBlock& block);
+// Successor block ids of a block's terminator: none, one, or two distinct blocks.
+struct Successors {
+  uint32_t ids[2] = {kNoBlock, kNoBlock};
+  uint32_t count = 0;
+
+  const uint32_t* begin() const { return ids; }
+  const uint32_t* end() const { return ids + count; }
+  size_t size() const { return count; }
+  bool empty() const { return count == 0; }
+};
+
+Successors BlockSuccessors(const IrBlock& block);
 
 // Iterative backward dataflow to a fixpoint.
 LivenessInfo ComputeLiveness(const IrFunction& function);

@@ -1,7 +1,6 @@
 #include "src/backend/passes.h"
 
 #include <bit>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -122,6 +121,41 @@ bool IsUnary(Opcode op) {
       return false;
   }
 }
+
+// Common-subexpression keys: an immediate by (value, literal slot), an expression by its
+// opcode, operand value numbers and displacement.
+struct ImmKey {
+  uint64_t value;
+  uint32_t literal_slot;
+
+  bool operator==(const ImmKey&) const = default;
+};
+
+struct ImmKeyHash {
+  size_t operator()(const ImmKey& key) const {
+    return HashCombine(key.value, key.literal_slot);
+  }
+};
+
+struct ExprKey {
+  Opcode op = Opcode::kConst;
+  int32_t disp = 0;
+  uint64_t vn_a = 0;
+  uint64_t vn_b = 0;
+  uint64_t vn_c = 0;
+
+  bool operator==(const ExprKey&) const = default;
+};
+
+struct ExprKeyHash {
+  size_t operator()(const ExprKey& key) const {
+    uint64_t hash = HashCombine(static_cast<uint64_t>(key.op),
+                                static_cast<uint64_t>(static_cast<uint32_t>(key.disp)));
+    hash = HashCombine(hash, key.vn_a);
+    hash = HashCombine(hash, key.vn_b);
+    return HashCombine(hash, key.vn_c);
+  }
+};
 
 }  // namespace
 
@@ -263,38 +297,43 @@ int CombineInstrsPass(IrFunction& function, LineageListener* lineage) {
 
 int CommonSubexprPass(IrFunction& function, LineageListener* lineage) {
   int changed = 0;
+  // Per-block tables, hoisted so their storage is reused across blocks.
+  std::vector<uint64_t> reg_vn;  // vreg -> value number; 0 = not yet numbered.
+  // Immediates are numbered by (value, literal slot): two parameterized literals that happen
+  // to share a value today must not merge, or a later patch of one slot would leak into the
+  // other's uses. Equal-slot occurrences still share a number (patching rewrites every
+  // recorded site of a slot, so merging them is sound).
+  std::unordered_map<ImmKey, uint64_t, ImmKeyHash> imm_vn;
+  struct Available {
+    uint32_t vreg;
+    uint32_t instr_id;
+    uint64_t vn;  // Value number the result register must still hold.
+  };
+  std::unordered_map<ExprKey, Available, ExprKeyHash> expressions;
+
   for (IrBlock& block : function.blocks()) {
     // Local value numbering. Each definition event gets a fresh value number; expression keys
     // are built over operand value numbers, so stale entries can never match.
     uint64_t next_vn = 1;
-    std::unordered_map<uint32_t, uint64_t> reg_vn;  // vreg -> value number
-    // Immediates are numbered by (value, literal slot): two parameterized literals that happen
-    // to share a value today must not merge, or a later patch of one slot would leak into the
-    // other's uses. Equal-slot occurrences still share a number (patching rewrites every
-    // recorded site of a slot, so merging them is sound).
-    std::map<std::pair<uint64_t, uint32_t>, uint64_t> imm_vn;
-    struct Available {
-      uint32_t vreg;
-      uint32_t instr_id;
-      uint64_t vn;  // Value number the result register must still hold.
-    };
-    std::unordered_map<std::string, Available> expressions;  // expression key -> availability
+    reg_vn.assign(function.next_vreg(), 0);
+    imm_vn.clear();
+    expressions.clear();
 
     auto vn_of = [&](const Value& value) -> uint64_t {
       if (value.IsImm()) {
         auto [it, inserted] = imm_vn.try_emplace(
-            std::make_pair(static_cast<uint64_t>(value.imm), value.literal_slot), next_vn);
+            ImmKey{static_cast<uint64_t>(value.imm), value.literal_slot}, next_vn);
         if (inserted) {
           ++next_vn;
         }
         return it->second;
       }
       if (value.IsReg()) {
-        auto [it, inserted] = reg_vn.try_emplace(value.vreg, next_vn);
-        if (inserted) {
-          ++next_vn;
+        uint64_t& vn = reg_vn[value.vreg];
+        if (vn == 0) {
+          vn = next_vn++;
         }
-        return it->second;
+        return vn;
       }
       return 0;
     };
@@ -304,14 +343,14 @@ int CommonSubexprPass(IrFunction& function, LineageListener* lineage) {
                             instr.op != Opcode::kGetTag && instr.op != Opcode::kConst &&
                             instr.op != Opcode::kMov;
       if (eligible) {
-        char key[64];
-        std::snprintf(key, sizeof(key), "%u|%llu|%llu|%llu|%d", static_cast<unsigned>(instr.op),
-                      static_cast<unsigned long long>(vn_of(instr.a)),
-                      static_cast<unsigned long long>(vn_of(instr.b)),
-                      static_cast<unsigned long long>(vn_of(instr.c)), instr.disp);
+        ExprKey key;
+        key.op = instr.op;
+        key.disp = instr.disp;
+        key.vn_a = vn_of(instr.a);
+        key.vn_b = vn_of(instr.b);
+        key.vn_c = vn_of(instr.c);
         auto it = expressions.find(key);
-        if (it != expressions.end() && reg_vn.count(it->second.vreg) != 0 &&
-            reg_vn[it->second.vreg] == it->second.vn) {
+        if (it != expressions.end() && reg_vn[it->second.vreg] == it->second.vn) {
           // Duplicate: reuse the earlier result via a move. The surviving computation now also
           // serves this instruction's owner.
           if (lineage != nullptr) {
@@ -356,14 +395,15 @@ int DeadCodeElimPass(IrFunction& function, LineageListener* lineage) {
   while (changed) {
     changed = false;
     LivenessInfo liveness = ComputeLiveness(function);
+    std::vector<uint64_t> live(liveness.words);
     for (uint32_t b = 0; b < function.blocks().size(); ++b) {
       IrBlock& block = function.block(b);
-      std::vector<bool> live = liveness.blocks[b].live_out;
-      live.resize(function.next_vreg(), false);
+      const uint64_t* live_out = liveness.LiveOutWords(b);
+      live.assign(live_out, live_out + liveness.words);
       // Backward scan: an instruction writing a non-live register with no side effects is dead.
       for (size_t i = block.instrs.size(); i-- > 0;) {
         IrInstr& instr = block.instrs[i];
-        const bool dead = instr.HasDst() && IsPure(instr) && !live[instr.dst];
+        const bool dead = instr.HasDst() && IsPure(instr) && !TestBit(live.data(), instr.dst);
         if (dead) {
           if (lineage != nullptr) {
             lineage->OnRemove(instr.id);
@@ -374,9 +414,9 @@ int DeadCodeElimPass(IrFunction& function, LineageListener* lineage) {
           continue;
         }
         if (instr.HasDst()) {
-          live[instr.dst] = false;
+          ClearBit(live.data(), instr.dst);
         }
-        ForEachUse(instr, [&](uint32_t vreg) { live[vreg] = true; });
+        ForEachUse(instr, [&](uint32_t vreg) { SetBit(live.data(), vreg); });
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "src/backend/regalloc.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/backend/liveness.h"
 #include "src/util/check.h"
@@ -53,12 +54,12 @@ Allocation AllocateRegisters(const IrFunction& function, bool reserve_tag_regist
       ++pos;
     }
     const uint32_t block_end = pos;  // One past the last instruction.
-    for (uint32_t v = 0; v < num_vregs; ++v) {
-      if (liveness.blocks[b].live_in[v]) {
-        extend(v, block_start);
+    for (uint32_t w = 0; w < liveness.words; ++w) {
+      for (uint64_t bits = liveness.LiveInWords(b)[w]; bits != 0; bits &= bits - 1) {
+        extend(w * 64 + static_cast<uint32_t>(std::countr_zero(bits)), block_start);
       }
-      if (liveness.blocks[b].live_out[v]) {
-        extend(v, block_end);
+      for (uint64_t bits = liveness.LiveOutWords(b)[w]; bits != 0; bits &= bits - 1) {
+        extend(w * 64 + static_cast<uint32_t>(std::countr_zero(bits)), block_end);
       }
     }
   }

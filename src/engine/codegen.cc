@@ -1703,7 +1703,6 @@ CompiledQuery CompileQuery(Database& db, PhysicalOpPtr plan, ProfilingSession* s
     artifact.pipeline = std::move(pipeline);
     artifact.stats = stats;
     artifact.literal_sites = std::move(emitted.literal_sites);
-    artifact.listing = PrintFunction(artifact.ir);
     artifact.segment =
         db.code_map().AddSegment(SegmentKind::kGenerated, fn_name, std::move(emitted.code));
     artifact.function = db.code_map().AddFunction(fn_name, artifact.segment, 0,

@@ -15,7 +15,6 @@
 #include "src/backend/compiler.h"
 #include "src/backend/emitter.h"
 #include "src/ir/instr.h"
-#include "src/ir/printer.h"
 #include "src/plan/physical.h"
 #include "src/profiling/tagging_dictionary.h"
 
@@ -87,8 +86,8 @@ struct PipelineArtifact {
   Pipeline pipeline;
   uint32_t function = 0;  // Global function id of the compiled pipeline.
   uint32_t segment = 0;
-  IrFunction ir;  // Optimized VIR, retained for annotated listings (Figure 6b).
-  IrListing listing;
+  // Optimized VIR: the annotated listing (Figure 6b) prints it when a report asks for one.
+  IrFunction ir;
   CompileStats stats;
   // Relocation table for literal-parameterized reuse (filled when compiled with
   // CodegenOptions::literals): every machine-code position holding a plan literal.

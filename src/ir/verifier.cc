@@ -1,6 +1,6 @@
 #include "src/ir/verifier.h"
 
-#include <set>
+#include <unordered_set>
 
 #include "src/util/str.h"
 
@@ -21,7 +21,8 @@ std::vector<std::string> VerifyFunction(const IrFunction& function) {
     problem("function has no blocks");
     return problems;
   }
-  std::set<uint32_t> seen_ids;
+  std::unordered_set<uint32_t> seen_ids;
+  seen_ids.reserve(function.InstrCount());
   for (uint32_t b = 0; b < function.blocks().size(); ++b) {
     const IrBlock& block = function.block(b);
     if (block.instrs.empty()) {
@@ -33,44 +34,47 @@ std::vector<std::string> VerifyFunction(const IrFunction& function) {
     }
     for (size_t i = 0; i < block.instrs.size(); ++i) {
       const IrInstr& instr = block.instrs[i];
-      const std::string where = StrFormat("%s[%zu]", block.name.c_str(), i);
+      // Problems located at this instruction, prefixed "block[index]: ".
+      auto problem_here = [&](const std::string& text) {
+        problem(StrFormat("%s[%zu]: ", block.name.c_str(), i) + text);
+      };
       if (IsTerminator(instr.op) && i + 1 != block.instrs.size()) {
-        problem(where + ": terminator in the middle of a block");
+        problem_here("terminator in the middle of a block");
       }
       if (instr.op == Opcode::kLoadSpill || instr.op == Opcode::kStoreSpill) {
-        problem(where + ": machine-only opcode in VIR");
+        problem_here("machine-only opcode in VIR");
       }
       if (!seen_ids.insert(instr.id).second) {
-        problem(where + StrFormat(": duplicate instruction id %u", instr.id));
+        problem_here(StrFormat("duplicate instruction id %u", instr.id));
       }
       if (instr.HasDst() && instr.dst >= function.next_vreg()) {
-        problem(where + ": destination register out of range");
+        problem_here("destination register out of range");
       }
       if (!ValidOperand(instr.a, function) || !ValidOperand(instr.b, function) ||
           !ValidOperand(instr.c, function)) {
-        problem(where + ": operand register out of range");
+        problem_here("operand register out of range");
       }
       for (const Value& arg : instr.args) {
         if (!ValidOperand(arg, function)) {
-          problem(where + ": call argument register out of range");
+          problem_here("call argument register out of range");
         }
       }
       if (instr.op == Opcode::kBr || instr.op == Opcode::kCondBr) {
         if (instr.target0 >= function.blocks().size()) {
-          problem(where + ": invalid branch target");
+          problem_here("invalid branch target");
         }
         if (instr.op == Opcode::kCondBr && instr.target1 >= function.blocks().size()) {
-          problem(where + ": invalid fall-through target");
+          problem_here("invalid fall-through target");
         }
       }
       if (instr.op == Opcode::kCall && instr.callee == kNoIrCallee) {
-        problem(where + ": call without callee");
+        problem_here("call without callee");
       }
       if (IsLoad(instr.op) && !instr.HasDst()) {
-        problem(where + ": load without destination");
+        problem_here("load without destination");
       }
       if (IsStore(instr.op) && instr.b.IsNone()) {
-        problem(where + ": store without address operand");
+        problem_here("store without address operand");
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "src/ir/printer.h"
 #include "src/util/chart.h"
 #include "src/util/check.h"
 #include "src/util/str.h"
@@ -86,10 +87,11 @@ std::string RenderAnnotatedListing(const ProfilingSession& session, const Compil
     }
   }
   const TaggingDictionary& dictionary = session.dictionary();
+  const IrListing listing = PrintFunction(artifact.ir);
 
   // Per-block subtotals keyed by block id.
   std::unordered_map<uint32_t, uint64_t> per_block;
-  for (const IrListingLine& line : artifact.listing.lines) {
+  for (const IrListingLine& line : listing.lines) {
     if (line.instr_id != kNoIrId && per_instr.count(line.instr_id) != 0) {
       per_block[line.block] += per_instr[line.instr_id];
     }
@@ -105,7 +107,7 @@ std::string RenderAnnotatedListing(const ProfilingSession& session, const Compil
   std::string out;
   out += StrFormat("=== %s — %zu samples in this pipeline ===\n", artifact.pipeline.name.c_str(),
                    static_cast<size_t>(pipeline_samples));
-  for (const IrListingLine& line : artifact.listing.lines) {
+  for (const IrListingLine& line : listing.lines) {
     if (line.instr_id == kNoIrId) {
       // Block labels get a subtotal annotation, like "loopTuples: (hash join 45.7%)".
       if (line.block != kNoBlock && per_block.count(line.block) != 0) {

@@ -172,6 +172,40 @@ TEST(Cse, ResultRegisterOverwriteInvalidatesAvailability) {
   EXPECT_EQ(InterpretIr(fn, args, mem), 0u + 11u);
 }
 
+TEST(Cse, KeysOnEveryOperand) {
+  // Two selects agreeing on condition and first value but not on the second are distinct.
+  IrFunction fn("f", 1);
+  IrIdAllocator ids;
+  IrBuilder b(&fn, &ids);
+  b.SetInsertPoint(b.CreateBlock("entry"));
+  uint32_t first = b.Select(Value::Imm(0), Value::Reg(0), Value::Imm(3));
+  uint32_t second = b.Select(Value::Imm(0), Value::Reg(0), Value::Imm(4));
+  uint32_t sum = b.Add(Value::Reg(first), Value::Reg(second));
+  b.Ret(Value::Reg(sum));
+  EXPECT_EQ(CommonSubexprPass(fn, nullptr), 0);
+  VMem mem(1 << 12);
+  uint64_t args[] = {10};
+  EXPECT_EQ(InterpretIr(fn, args, mem), 7u);
+}
+
+TEST(Cse, EqualLiteralsInDistinctSlotsStayApart) {
+  // Plan literals that share a value today may be patched apart later; equal slots may merge.
+  IrFunction fn("f", 1);
+  IrIdAllocator ids;
+  IrBuilder b(&fn, &ids);
+  b.SetInsertPoint(b.CreateBlock("entry"));
+  uint32_t slot0 = b.Add(Value::Reg(0), Value::Param(5, 0));
+  uint32_t slot1 = b.Add(Value::Reg(0), Value::Param(5, 1));
+  uint32_t slot0_again = b.Add(Value::Reg(0), Value::Param(5, 0));
+  uint32_t sum = b.Add(Value::Reg(slot0), Value::Reg(slot1));
+  b.Ret(Value::Reg(b.Add(Value::Reg(sum), Value::Reg(slot0_again))));
+  RecordingLineage lineage;
+  EXPECT_EQ(CommonSubexprPass(fn, &lineage), 1);
+  ASSERT_EQ(lineage.absorbed_pairs.size(), 1u);
+  EXPECT_EQ(lineage.absorbed_pairs[0],
+            std::make_pair(fn.block(0).instrs[0].id, fn.block(0).instrs[2].id));
+}
+
 TEST(Dce, RemovesDeadCodeAndReports) {
   IrFunction fn("f", 1);
   IrIdAllocator ids;

@@ -64,7 +64,7 @@ TEST(Liveness, BlockSuccessors) {
   b.Ret();
   b.SetInsertPoint(c);
   b.Ret();
-  std::vector<uint32_t> successors = BlockSuccessors(fn.block(entry));
+  Successors successors = BlockSuccessors(fn.block(entry));
   EXPECT_EQ(successors.size(), 2u);
   EXPECT_TRUE(BlockSuccessors(fn.block(a)).empty());
 }

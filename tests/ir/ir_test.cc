@@ -3,6 +3,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
+#include "src/util/str.h"
 
 namespace dfp {
 namespace {
@@ -52,13 +53,17 @@ TEST(IrBuilder, EmitHashMatchesHostHash) {
   EXPECT_EQ(instrs[4].op, Opcode::kMul);
 }
 
+// The verifier's messages are part of its contract (CompileFunction prints them on failure):
+// each negative case pins the exact text, including the `block[index]` location prefix.
+using Problems = std::vector<std::string>;
+
 TEST(IrVerifier, DetectsMissingTerminator) {
   IrFunction fn("f", 0);
   IrIdAllocator ids;
   IrBuilder b(&fn, &ids);
   b.SetInsertPoint(b.CreateBlock("entry"));
   b.Const(1);
-  EXPECT_FALSE(VerifyFunction(fn).empty());
+  EXPECT_EQ(VerifyFunction(fn), Problems{"block entry does not end in a terminator"});
 }
 
 TEST(IrVerifier, DetectsBadBranchTarget) {
@@ -68,7 +73,7 @@ TEST(IrVerifier, DetectsBadBranchTarget) {
   b.SetInsertPoint(b.CreateBlock("entry"));
   b.Br(0);
   fn.block(0).instrs.back().target0 = 99;
-  EXPECT_FALSE(VerifyFunction(fn).empty());
+  EXPECT_EQ(VerifyFunction(fn), Problems{"entry[0]: invalid branch target"});
 }
 
 TEST(IrVerifier, DetectsMachineOnlyOpcode) {
@@ -82,7 +87,7 @@ TEST(IrVerifier, DetectsMachineOnlyOpcode) {
   bad.dst = fn.NewReg();
   bad.id = ids.Next();
   fn.block(0).instrs.insert(fn.block(0).instrs.begin(), bad);
-  EXPECT_FALSE(VerifyFunction(fn).empty());
+  EXPECT_EQ(VerifyFunction(fn), Problems{"entry[0]: machine-only opcode in VIR"});
 }
 
 TEST(IrVerifier, DetectsDuplicateIds) {
@@ -94,7 +99,61 @@ TEST(IrVerifier, DetectsDuplicateIds) {
   b.Const(2);
   b.Ret();
   fn.block(0).instrs[1].id = fn.block(0).instrs[0].id;
-  EXPECT_FALSE(VerifyFunction(fn).empty());
+  const uint32_t id = fn.block(0).instrs[0].id;
+  EXPECT_EQ(VerifyFunction(fn), Problems{StrFormat("entry[1]: duplicate instruction id %u", id)});
+}
+
+TEST(IrVerifier, DetectsEmptyFunctionAndBlock) {
+  IrFunction empty("f", 0);
+  EXPECT_EQ(VerifyFunction(empty), Problems{"function has no blocks"});
+
+  IrFunction fn("f", 0);
+  IrIdAllocator ids;
+  IrBuilder b(&fn, &ids);
+  b.SetInsertPoint(b.CreateBlock("entry"));
+  b.Ret();
+  b.CreateBlock("hollow");
+  EXPECT_EQ(VerifyFunction(fn), Problems{"block hollow is empty"});
+}
+
+TEST(IrVerifier, ReportsEveryProblemInOrder) {
+  // Two blocks with several faults each: problems come out in block, then instruction, then
+  // check order, each with its own location prefix.
+  IrFunction fn("f", 1);
+  IrIdAllocator ids;
+  IrBuilder b(&fn, &ids);
+  const uint32_t entry = b.CreateBlock("entry");
+  const uint32_t body = b.CreateBlock("body");
+  b.SetInsertPoint(entry);
+  b.CondBr(Value::Reg(0), body, body);
+  b.SetInsertPoint(body);
+  const uint32_t v = b.Load(Opcode::kLoad8, Value::Reg(0), 0);
+  b.Store(Opcode::kStore8, Value::Reg(v), Value::Reg(0));
+  b.Call(3, {Value::Reg(v)}, true);
+  b.Ret();
+  std::vector<IrInstr>& head = fn.block(entry).instrs;
+  head[0].target1 = 7;
+  IrInstr ret;
+  ret.op = Opcode::kRet;
+  ret.id = ids.Next();
+  head.push_back(ret);
+  std::vector<IrInstr>& instrs = fn.block(body).instrs;
+  instrs[0].dst = kNoVReg;            // Load without destination.
+  instrs[0].a = Value::Reg(500);      // Operand out of range.
+  instrs[1].b = Value::None();        // Store without address.
+  instrs[2].callee = kNoIrCallee;     // Call without callee.
+  instrs[2].args[0] = Value::Reg(600);
+  instrs[2].dst = 700;                // Destination out of range.
+  EXPECT_EQ(VerifyFunction(fn), (Problems{
+                                    "entry[0]: terminator in the middle of a block",
+                                    "entry[0]: invalid fall-through target",
+                                    "body[0]: operand register out of range",
+                                    "body[0]: load without destination",
+                                    "body[1]: store without address operand",
+                                    "body[2]: destination register out of range",
+                                    "body[2]: call argument register out of range",
+                                    "body[2]: call without callee",
+                                }));
 }
 
 TEST(IrPrinter, ListingHasLinePerInstruction) {

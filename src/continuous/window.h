@@ -8,7 +8,7 @@
 // it. Only the newest `ring_windows` windows per fingerprint are retained, so the structure is a
 // bounded sliding history rather than an ever-growing log. Roll-up, text rendering, and a
 // deterministic JSON export make the windows consumable offline; the service-profile text format
-// (v2) embeds them next to the cumulative counters (see src/service/service_profile.h).
+// embeds them next to the cumulative counters (see src/service/service_profile.h).
 //
 // This layer is deliberately service-agnostic: it keys on the raw structural fingerprint hash
 // and consumes the same OperatorProfile/PmuCounters every report is built from, so it can also
@@ -156,7 +156,7 @@ class WindowedProfile {
   // is what the continuous-smoke CI job checks.
   void WriteJson(std::ostream& out) const;
 
-  // Loading hooks used by ReadServiceProfile (v2): windows and their operator rows arrive in
+  // Loading hooks used by ReadServiceProfile: windows and their operator rows arrive in
   // file order; the ring bound is enforced as they load.
   void LoadWindow(uint64_t fingerprint, const std::string& name, ProfileWindow window);
   void LoadWindowOperator(uint64_t fingerprint, uint64_t window_index, WindowOperatorStats stats);

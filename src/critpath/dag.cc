@@ -40,10 +40,10 @@ TaskDag BuildTaskDag(std::vector<TaskBoundary> tasks) {
   if (tasks.empty()) {
     return dag;
   }
-  // Single-worker runs (and replayed v5 streams) already arrive in canonical order — the
-  // executor appends boundaries in execution order, which for one worker is exactly
-  // (step, start_tsc). Skip the re-sort then: is_sorted is one linear pass and the resulting
-  // DAG is identical either way (asserted by the determinism test).
+  // Single-worker runs (and task lines read back from a sample stream) already arrive in
+  // canonical order — the executor appends boundaries in execution order, which for one worker
+  // is exactly (step, start_tsc). Skip the re-sort then: is_sorted is one linear pass and the
+  // resulting DAG is identical either way (asserted by the determinism test).
   if (!std::is_sorted(tasks.begin(), tasks.end(), CanonicalLess)) {
     std::sort(tasks.begin(), tasks.end(), CanonicalLess);
   }

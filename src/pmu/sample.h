@@ -31,7 +31,7 @@ inline constexpr uint8_t kNoNumaNode = 0xFF;
 // unsharded service or single-shard run) so fan-out attribution survives the coordinator's
 // merge. `cross_node` marks accesses served by another *machine node's* memory — the shard
 // interconnect hop, a distinct and costlier tier than cross-socket `numa_remote`. Both default
-// to the pre-sharding values, keeping v1–v6 streams byte-identical on disk.
+// to "no shard, same machine", which the sample stream writes as no token at all.
 struct Sample {
   uint64_t tsc = 0;
   uint64_t ip = 0;
@@ -67,7 +67,7 @@ inline constexpr uint32_t kNoPipeline = 0xFFFFFFFF;
 // recorded stream alone: timestamps and worker id recover the schedule (same-worker chains plus
 // the barrier between consecutive exec steps), `step` recovers the barrier groups, and the
 // per-task PMU counter deltas feed the roofline-style bottleneck classifier without access to
-// the live worker state. Serialized as `task` lines in v5 sample streams (src/profiling/
+// the live worker state. Serialized as `task` lines in sample streams (src/profiling/
 // serialize.h) and analyzed by src/critpath/.
 struct TaskBoundary {
   uint64_t start_tsc = 0;

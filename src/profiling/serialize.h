@@ -31,28 +31,23 @@ struct SampleStreamEvent {
 //   link <ir-id> <task-id> [<task-id>...]
 void WriteDictionary(const TaggingDictionary& dictionary, std::ostream& out);
 
-// Inverse of WriteDictionary. Throws dfp::Error on malformed input.
+// Inverse of WriteDictionary. Throws dfp::Error on malformed input, including a link to a task
+// not declared above it.
 TaggingDictionary ReadDictionary(std::istream& in);
 
-// perf-script-like sample dump. The header version is chosen by content so older dumps stay
-// byte-identical: streams carrying task boundaries are v5, streams carrying tier attribution
-// or events are v4, streams carrying NUMA locality or steal flags are v3, streams carrying
-// worker ids are v2, and pure worker-0 streams keep the v1 header, so files produced before
-// each extension read back unchanged:
-//   # dfp samples v1        (single-threaded: no W tokens allowed)
-//   # dfp samples v2        (parallel: W present on samples from workers other than 0)
-//   # dfp samples v3        (adds N <node> <remote> and T locality tokens)
-//   # dfp samples v4        (adds G <tier> tokens and interleaved `event` lines)
-//   # dfp samples v5        (adds `task` lines — executor task boundaries, in execution order)
-//   # dfp samples v6        (adds interleaved `sched` lines — scheduling-action sideband:
-//                            placement repairs decided/applied/kept/reverted, admission
-//                            rejections by infeasible deadline)
-//   # dfp samples v7        (adds D <shard> shard-attribution tokens and X <machine-node>
-//                            cross-node locality tokens; X replaces N — for a cross-machine
-//                            access the recorded node is the owning machine, not a socket)
-//   # dfp samples v8        (adds interleaved `reopt` lines — re-optimization sideband:
-//                            candidates decided/applied/kept/reverted by the guarded
-//                            closed loop, src/reopt/)
+// A perf-script-like sample dump with its sideband: everything one profiled execution leaves
+// behind besides the Tagging Dictionary. `events`, `sched` and `reopt` must each be ascending by
+// tsc (they are appended as the service clock advances).
+struct SampleStream {
+  std::vector<Sample> samples;
+  std::vector<TaskBoundary> tasks;        // Executor task boundaries, in execution order.
+  std::vector<SampleStreamEvent> events;  // Tier transitions (src/tiering/).
+  std::vector<SampleStreamEvent> sched;   // Placement repairs, deadline rejections (src/service/).
+  std::vector<SampleStreamEvent> reopt;   // Re-optimization actions (src/reopt/).
+};
+
+// Line-oriented text format, one version:
+//   # dfp samples v8
 //   task <start-tsc> <end-tsc> <worker> <kind> <step> <pipeline> <morsel-begin> <morsel-end>
 //        <stolen> <instrs> <loads> <l1-miss> <l2-miss> <l3-miss> <remote-dram>
 //   sample <tsc> <ip> <addr> [W <worker>] [N <node> <remote> | X <machine-node>] [T] [G <tier>]
@@ -60,53 +55,20 @@ TaggingDictionary ReadDictionary(std::istream& in);
 //   event <tsc> <text...>
 //   sched <tsc> <text...>
 //   reopt <tsc> <text...>
-// Task lines are written as a block right after the header (they are a schedule, not a sample
-// timeline), in the executor's deterministic execution order, which makes the per-query task
-// DAG (src/critpath/) recoverable from a recorded stream alone. A session id is never written:
-// dumped streams are per-session by construction (see src/pmu/sample.h).
-void WriteSamples(const std::vector<Sample>& samples, std::ostream& out);
+// Optional per-sample fields are marked by their own tokens and written only when set: W for a
+// worker other than 0, N for a NUMA node or remote access, X (instead of N) for a cross-machine
+// access whose node is the owning machine, T for a stolen morsel, G for a non-zero tier, D for a
+// shard, R for captured registers, S for a call stack. Task lines are written as a block right
+// after the header (they are a schedule, not a sample timeline), which makes the per-query task
+// DAG (src/critpath/) recoverable from a recorded stream alone. Sideband lines interleave in
+// timestamp order: each precedes the first sample whose tsc passes its own, and at equal tsc
+// `event` precedes `sched` precedes `reopt`. A session id is never written: dumped streams are
+// per-session by construction (see src/pmu/sample.h).
+void WriteSamples(const SampleStream& stream, std::ostream& out);
 
-// Same, with sideband events merged into the stream in timestamp order (an event precedes the
-// first sample with a tsc past its own). Any event forces the v4 header.
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events, std::ostream& out);
-
-// Same, with executor task boundaries. Any task forces the v5 header.
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks, std::ostream& out);
-
-// Same, with scheduling-action sideband lines (`sched <tsc> <text>`: placement repairs,
-// admission rejections — src/service/). Any sched line forces the v6 header.
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks,
-                  const std::vector<SampleStreamEvent>& sched, std::ostream& out);
-
-// Same, with re-optimization sideband lines (`reopt <tsc> <text>`: candidates decided,
-// applied, kept, reverted — src/reopt/). Any reopt line forces the v8 header.
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks,
-                  const std::vector<SampleStreamEvent>& sched,
-                  const std::vector<SampleStreamEvent>& reopt, std::ostream& out);
-
-// Inverse of WriteSamples. Throws dfp::Error on malformed input. Events (and task boundaries,
-// and sched/reopt lines) are appended to the caller's sinks in stream order when passed, and
-// rejected as malformed when the stream has them but the caller reads without a sink. A stream
-// whose header names a version newer than this build's (currently v8) is rejected with a clear
-// "newer build" error rather than a generic parse failure.
-std::vector<Sample> ReadSamples(std::istream& in);
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events);
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks);
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks,
-                                std::vector<SampleStreamEvent>* sched);
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks,
-                                std::vector<SampleStreamEvent>* sched,
-                                std::vector<SampleStreamEvent>* reopt);
+// Inverse of WriteSamples: returns every section. Throws dfp::Error on malformed input and on
+// any header other than this build's, naming the version found.
+SampleStream ReadSamples(std::istream& in);
 
 }  // namespace dfp
 

@@ -5,14 +5,6 @@
 #include "src/util/str.h"
 
 namespace dfp {
-namespace {
-
-std::string HexKey(uint64_t fingerprint) {
-  return StrFormat("%016llx", static_cast<unsigned long long>(fingerprint));
-}
-
-}  // namespace
-
 CardinalityMap ObservedCardinalities(const CompiledQuery& query) {
   CardinalityMap out;
   if (query.tuple_counts.empty()) {
@@ -120,7 +112,7 @@ std::string RenderCardStore(const CardStore& store) {
     return out;
   }
   for (const auto& [fingerprint, plan] : store.plans()) {
-    out += "plan " + HexKey(fingerprint) + " " + plan.name +
+    out += "plan " + HexU64(fingerprint) + " " + plan.name +
            " execs=" + std::to_string(plan.executions) + "\n";
     for (const auto& [op, entry] : plan.operators) {
       out += "  op " + std::to_string(op) + " observed=" +

@@ -5,14 +5,6 @@
 #include "src/util/str.h"
 
 namespace dfp {
-namespace {
-
-std::string HexKey(uint64_t fingerprint) {
-  return StrFormat("%016llx", static_cast<unsigned long long>(fingerprint));
-}
-
-}  // namespace
-
 RegressionThresholds ReoptGuardThresholds() {
   RegressionThresholds thresholds;
   // Shares live in [0,1]: a drift threshold of 2.0 can never fire. The candidate's operator
@@ -95,7 +87,7 @@ std::string RenderReoptTimeline(const ReoptLog& log) {
     return out;
   }
   for (const ReoptAction& action : log.actions()) {
-    out += "plan " + HexKey(action.fingerprint) + " " + action.plan_name + " [" +
+    out += "plan " + HexU64(action.fingerprint) + " " + action.plan_name + " [" +
            ReoptStateName(action.state) + "] divergence=" +
            std::to_string(action.divergence_pct) + "%";
     if (!action.description.empty()) {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/util/check.h"
+#include "src/util/str.h"
 
 namespace dfp {
 namespace {
@@ -33,12 +34,6 @@ double BitsToDouble(uint64_t bits) {
   double value = 0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
-}
-
-std::string HexU64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(value));
-  return buffer;
 }
 
 void WriteExpr(const Expr& expr, std::ostream& out) {
@@ -73,7 +68,7 @@ ExprPtr ParseExpr(std::istream& in) {
   if (!std::getline(in, line)) {
     throw Error("truncated plan: expression expected");
   }
-  std::istringstream stream(line);
+  std::istringstream stream = FieldStream(line);
   std::string kind_token;
   stream >> kind_token;
   if (kind_token != "x") {
@@ -99,11 +94,12 @@ ExprPtr ParseExpr(std::istream& in) {
   expr->un = static_cast<UnOp>(un);
   expr->agg = static_cast<AggOp>(agg);
   expr->pattern = DecodeToken(pattern_token);
-  expr->list.resize(list_size);
-  for (int64_t& candidate : expr->list) {
+  for (size_t i = 0; i < list_size; ++i) {
+    int64_t candidate = 0;
     if (!(stream >> candidate)) {
       Malformed(line);
     }
+    expr->list.push_back(candidate);
   }
   size_t whens = 0;
   int has_left = 0;
@@ -170,7 +166,7 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
   if (!std::getline(in, line)) {
     throw Error("truncated plan: operator expected");
   }
-  std::istringstream stream(line);
+  std::istringstream stream = FieldStream(line);
   std::string kind_token;
   stream >> kind_token;
   if (kind_token != "op") {
@@ -188,13 +184,13 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
   if (!(stream >> kind >> op->id >> children >> projecting >> join >> op->limit >>
         op->bound_rows >> est_hex >> table_token >> label_token >> outputs) ||
       kind < 0 || kind > kMaxOpKind || join < 0 || join > kMaxJoinType || projecting < 0 ||
-      projecting > 1 || est_hex.size() != 16) {
+      projecting > 1) {
     Malformed(line);
   }
   op->kind = static_cast<OpKind>(kind);
   op->projecting = projecting != 0;
   op->join_type = static_cast<JoinType>(join);
-  op->estimated_rows = BitsToDouble(std::stoull(est_hex, nullptr, 16));
+  op->estimated_rows = BitsToDouble(ParseHexU64(est_hex, line));
   op->label = DecodeToken(label_token);
   if (table_token != "-") {
     const std::string table_name = DecodeToken(table_token);
@@ -203,26 +199,25 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
     }
     op->table = &db.table(table_name);
   }
-  op->output.resize(outputs);
-  for (OutputColumn& column : op->output) {
+  for (size_t i = 0; i < outputs; ++i) {
     std::string name_token;
     int type = 0;
     if (!(stream >> name_token >> type) || type < 0 || type > kMaxColumnType) {
       Malformed(line);
     }
-    column.name = DecodeToken(name_token);
-    column.type = static_cast<ColumnType>(type);
+    op->output.push_back({DecodeToken(name_token), static_cast<ColumnType>(type)});
   }
   auto read_slots = [&stream, &line](std::vector<int>& slots) {
     size_t count = 0;
     if (!(stream >> count)) {
       Malformed(line);
     }
-    slots.resize(count);
-    for (int& slot : slots) {
+    for (size_t i = 0; i < count; ++i) {
+      int slot = 0;
       if (!(stream >> slot)) {
         Malformed(line);
       }
+      slots.push_back(slot);
     }
   };
   read_slots(op->build_keys);
@@ -233,13 +228,14 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
   if (!(stream >> sorts)) {
     Malformed(line);
   }
-  op->sort_items.resize(sorts);
-  for (SortItem& item : op->sort_items) {
+  for (size_t i = 0; i < sorts; ++i) {
+    SortItem item;
     int descending = 0;
     if (!(stream >> item.slot >> descending) || descending < 0 || descending > 1) {
       Malformed(line);
     }
     item.descending = descending != 0;
+    op->sort_items.push_back(item);
   }
   size_t exprs = 0;
   if (!(stream >> exprs)) {
@@ -249,11 +245,9 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
   if (stream >> trailing) {
     Malformed(line);
   }
-  op->exprs.reserve(exprs);
   for (size_t i = 0; i < exprs; ++i) {
     op->exprs.push_back(ParseExpr(in));
   }
-  op->children.reserve(children);
   for (size_t i = 0; i < children; ++i) {
     op->children.push_back(ParseOp(in, db));
   }

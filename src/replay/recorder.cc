@@ -1,24 +1,14 @@
 #include "src/replay/recorder.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "src/profiling/serialize.h"
 #include "src/replay/plan_codec.h"
 #include "src/tiering/report.h"
 #include "src/util/check.h"
+#include "src/util/str.h"
 
 namespace dfp {
-namespace {
-
-std::string HexU64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-}  // namespace
-
 void TraceRecorder::OnAttach(const ServiceConfig& config, uint64_t catalog_version,
                              uint64_t now_cycles) {
   if (now_cycles != 0) {
@@ -78,8 +68,10 @@ void TraceRecorder::OnCompletion(const QueryTicket& ticket) {
   q.completed_at_cycles = ticket.completed_at_cycles;
   q.result_rows = ticket.result.row_count();
   if (ticket.session != nullptr) {
+    SampleStream stream;
+    stream.samples = ticket.session->samples();
     std::ostringstream out;
-    WriteSamples(ticket.session->samples(), out);
+    WriteSamples(stream, out);
     std::string text = out.str();
     q.samples = ticket.session->samples().size();
     q.stream_hash = Fnv1a64(text);

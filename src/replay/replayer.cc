@@ -74,8 +74,8 @@ bool QueryDiverged(const TraceQuery& a, const TraceQuery& b) {
 // coordinator owns the sub-tickets (one per shard for fan-out queries), so there is no single
 // TraceRecorder to capture the run; the replayed trace is assembled by hand — the submission
 // half copied from the recording, the completion half observed from coordinator tickets.
-// Streams and samples are deliberately left zero (a sharded run's streams are v7 and cannot
-// match the recording byte-wise anyway); the gate for this what-if is results_diverged == 0.
+// Streams and samples are deliberately left zero (a sharded run's streams carry shard tokens and
+// cannot match the recording byte-wise anyway); the gate for this what-if is results_diverged == 0.
 ReplayRun ReplayTraceSharded(ShardCatalog& catalog, const WorkloadTrace& trace,
                              const ReplayOptions& options) {
   if (catalog.shards() != options.knobs.shard_count) {

@@ -1,7 +1,6 @@
 #include "src/replay/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -9,41 +8,13 @@
 
 #include "src/replay/plan_codec.h"
 #include "src/util/check.h"
+#include "src/util/str.h"
 
 namespace dfp {
 namespace {
 
 constexpr char kTraceHeaderPrefix[] = "# dfp trace v";
-constexpr uint64_t kMaxTraceVersion = 3;
-
-// True when the knobs carry a non-default profile-feedback scheduling configuration — the
-// content that requires the v2 layout (the optional `sched` line).
-bool HasSchedKnobs(const TraceKnobs& k) {
-  return k.slack_scheduling || k.placement_repair || k.deadline_admission ||
-         k.slack_max_age != 64 || k.repair_pessimize;
-}
-
-uint64_t DoubleBits(double value);
-
-// Same, for the closed-loop re-optimization configuration (the v3 `reopt` line).
-bool HasReoptKnobs(const TraceKnobs& k) {
-  const TraceKnobs defaults;
-  return k.reopt_enabled || k.reopt_divergence_pct != defaults.reopt_divergence_pct ||
-         k.reopt_min_executions != defaults.reopt_min_executions ||
-         k.reopt_semi_join_reduction ||
-         k.reopt_semi_join_blowup_pct != defaults.reopt_semi_join_blowup_pct ||
-         k.reopt_pessimize ||
-         DoubleBits(k.reopt_guard.min_share) != DoubleBits(defaults.reopt_guard.min_share) ||
-         DoubleBits(k.reopt_guard.share_drift) !=
-             DoubleBits(defaults.reopt_guard.share_drift) ||
-         DoubleBits(k.reopt_guard.share_noise_z) !=
-             DoubleBits(defaults.reopt_guard.share_noise_z) ||
-         DoubleBits(k.reopt_guard.cycles_per_row_ratio) !=
-             DoubleBits(defaults.reopt_guard.cycles_per_row_ratio) ||
-         DoubleBits(k.reopt_guard.remote_share_drift) !=
-             DoubleBits(defaults.reopt_guard.remote_share_drift) ||
-         k.reopt_guard.min_samples != defaults.reopt_guard.min_samples;
-}
+constexpr int kTraceVersion = 4;
 
 [[noreturn]] void Malformed(const std::string& line) {
   throw Error("malformed trace line: '" + line + "'");
@@ -61,26 +32,13 @@ double BitsToDouble(uint64_t bits) {
   return value;
 }
 
-std::string HexU64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-uint64_t ParseHexU64(const std::string& token, const std::string& line) {
-  if (token.size() != 16 || token.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    Malformed(line);
-  }
-  return std::stoull(token, nullptr, 16);
-}
-
 // Reads the next line, requiring its first token to be `keyword`; returns a stream positioned
 // after the keyword.
 std::istringstream ExpectLine(std::istream& in, const std::string& keyword, std::string& line) {
   if (!std::getline(in, line)) {
     throw Error("truncated trace: '" + keyword + "' line expected");
   }
-  std::istringstream stream(line);
+  std::istringstream stream = FieldStream(line);
   std::string token;
   stream >> token;
   if (token != keyword) {
@@ -266,9 +224,7 @@ const PlanTemplate* WorkloadTrace::FindTemplate(uint64_t structure) const {
 }
 
 void WriteTrace(const WorkloadTrace& trace, std::ostream& out) {
-  const bool sched = HasSchedKnobs(trace.knobs);
-  const bool reopt = HasReoptKnobs(trace.knobs);
-  out << kTraceHeaderPrefix << (reopt ? 3 : sched ? 2 : 1) << "\n";
+  out << kTraceHeaderPrefix << kTraceVersion << "\n";
   out << "catalog " << trace.catalog_version << "\n";
   out << "start " << trace.start_cycles << "\n";
   const TraceKnobs& k = trace.knobs;
@@ -290,22 +246,18 @@ void WriteTrace(const WorkloadTrace& trace, std::ostream& out) {
   out << "costs " << c.base_cycles << " " << c.per_ir_instr << " " << c.per_machine_instr << " "
       << c.cache_lookup_cycles << " " << c.baseline_base_cycles << " " << c.baseline_per_ir_instr
       << " " << c.baseline_per_machine_instr << " " << c.patch_per_site_cycles << "\n";
-  if (sched) {
-    out << "sched " << (k.slack_scheduling ? 1 : 0) << " " << (k.placement_repair ? 1 : 0) << " "
-        << (k.deadline_admission ? 1 : 0) << " " << k.slack_max_age << " "
-        << (k.repair_pessimize ? 1 : 0) << "\n";
-  }
-  if (reopt) {
-    out << "reopt " << (k.reopt_enabled ? 1 : 0) << " " << k.reopt_divergence_pct << " "
-        << k.reopt_min_executions << " " << (k.reopt_semi_join_reduction ? 1 : 0) << " "
-        << k.reopt_semi_join_blowup_pct << " " << (k.reopt_pessimize ? 1 : 0) << " "
-        << HexU64(DoubleBits(k.reopt_guard.min_share)) << " "
-        << HexU64(DoubleBits(k.reopt_guard.share_drift)) << " "
-        << HexU64(DoubleBits(k.reopt_guard.share_noise_z)) << " "
-        << HexU64(DoubleBits(k.reopt_guard.cycles_per_row_ratio)) << " "
-        << HexU64(DoubleBits(k.reopt_guard.remote_share_drift)) << " "
-        << k.reopt_guard.min_samples << "\n";
-  }
+  out << "sched " << (k.slack_scheduling ? 1 : 0) << " " << (k.placement_repair ? 1 : 0) << " "
+      << (k.deadline_admission ? 1 : 0) << " " << k.slack_max_age << " "
+      << (k.repair_pessimize ? 1 : 0) << "\n";
+  out << "reopt " << (k.reopt_enabled ? 1 : 0) << " " << k.reopt_divergence_pct << " "
+      << k.reopt_min_executions << " " << (k.reopt_semi_join_reduction ? 1 : 0) << " "
+      << k.reopt_semi_join_blowup_pct << " " << (k.reopt_pessimize ? 1 : 0) << " "
+      << HexU64(DoubleBits(k.reopt_guard.min_share)) << " "
+      << HexU64(DoubleBits(k.reopt_guard.share_drift)) << " "
+      << HexU64(DoubleBits(k.reopt_guard.share_noise_z)) << " "
+      << HexU64(DoubleBits(k.reopt_guard.cycles_per_row_ratio)) << " "
+      << HexU64(DoubleBits(k.reopt_guard.remote_share_drift)) << " "
+      << k.reopt_guard.min_samples << "\n";
   for (const PlanTemplate& entry : trace.templates) {
     out << "template " << HexU64(entry.structure) << " " << EncodeToken(entry.name) << "\n";
     out << entry.plan_text;  // Self-delimiting: ends with "endplan\n".
@@ -377,26 +329,7 @@ WorkloadTrace ReadTrace(std::istream& in) {
   if (!std::getline(in, line)) {
     throw Error("empty trace: version header expected");
   }
-  if (line.rfind(kTraceHeaderPrefix, 0) != 0) {
-    throw Error("not a dfp trace: '" + line + "'");
-  }
-  uint64_t version = 0;
-  try {
-    size_t used = 0;
-    version = std::stoull(line.substr(sizeof(kTraceHeaderPrefix) - 1), &used);
-    if (used != line.size() - (sizeof(kTraceHeaderPrefix) - 1)) {
-      Malformed(line);
-    }
-  } catch (const Error&) {
-    throw;
-  } catch (...) {
-    Malformed(line);
-  }
-  if (version == 0 || version > kMaxTraceVersion) {
-    throw Error("trace version " + std::to_string(version) +
-                " not supported by this build (max " + std::to_string(kMaxTraceVersion) +
-                "); written by a newer build?");
-  }
+  CheckFormatHeader(line, kTraceHeaderPrefix, kTraceVersion, "dfp trace");
 
   WorkloadTrace trace;
   {
@@ -470,6 +403,49 @@ WorkloadTrace ReadTrace(std::istream& in) {
     RejectTrailing(stream, line);
   }
 
+  {
+    std::istringstream stream = ExpectLine(in, "sched", line);
+    TraceKnobs& k = trace.knobs;
+    int slack = 0;
+    int repair = 0;
+    int admission = 0;
+    int pessimize = 0;
+    if (!(stream >> slack >> repair >> admission >> k.slack_max_age >> pessimize)) {
+      Malformed(line);
+    }
+    RejectTrailing(stream, line);
+    k.slack_scheduling = slack != 0;
+    k.placement_repair = repair != 0;
+    k.deadline_admission = admission != 0;
+    k.repair_pessimize = pessimize != 0;
+  }
+  {
+    std::istringstream stream = ExpectLine(in, "reopt", line);
+    TraceKnobs& k = trace.knobs;
+    int enabled = 0;
+    int semi_join = 0;
+    int pessimize = 0;
+    std::string min_share_hex;
+    std::string share_drift_hex;
+    std::string noise_z_hex;
+    std::string ratio_hex;
+    std::string remote_hex;
+    if (!(stream >> enabled >> k.reopt_divergence_pct >> k.reopt_min_executions >> semi_join >>
+          k.reopt_semi_join_blowup_pct >> pessimize >> min_share_hex >> share_drift_hex >>
+          noise_z_hex >> ratio_hex >> remote_hex >> k.reopt_guard.min_samples)) {
+      Malformed(line);
+    }
+    RejectTrailing(stream, line);
+    k.reopt_enabled = enabled != 0;
+    k.reopt_semi_join_reduction = semi_join != 0;
+    k.reopt_pessimize = pessimize != 0;
+    k.reopt_guard.min_share = BitsToDouble(ParseHexU64(min_share_hex, line));
+    k.reopt_guard.share_drift = BitsToDouble(ParseHexU64(share_drift_hex, line));
+    k.reopt_guard.share_noise_z = BitsToDouble(ParseHexU64(noise_z_hex, line));
+    k.reopt_guard.cycles_per_row_ratio = BitsToDouble(ParseHexU64(ratio_hex, line));
+    k.reopt_guard.remote_share_drift = BitsToDouble(ParseHexU64(remote_hex, line));
+  }
+
   // Body: templates, then the event schedule, then the summary block. The writer emits them in
   // that order; the reader accepts each keyword wherever it appears so the fixed-point property
   // is a statement about the writer's canonical order, not a parser restriction.
@@ -477,55 +453,10 @@ WorkloadTrace ReadTrace(std::istream& in) {
   bool saw_tiers = false;
   bool saw_end = false;
   while (std::getline(in, line)) {
-    std::istringstream stream(line);
+    std::istringstream stream = FieldStream(line);
     std::string keyword;
     stream >> keyword;
-    if (keyword == "sched") {
-      if (version < 2) {
-        Malformed(line);
-      }
-      TraceKnobs& k = trace.knobs;
-      int slack = 0;
-      int repair = 0;
-      int admission = 0;
-      int pessimize = 0;
-      if (!(stream >> slack >> repair >> admission >> k.slack_max_age >> pessimize)) {
-        Malformed(line);
-      }
-      RejectTrailing(stream, line);
-      k.slack_scheduling = slack != 0;
-      k.placement_repair = repair != 0;
-      k.deadline_admission = admission != 0;
-      k.repair_pessimize = pessimize != 0;
-    } else if (keyword == "reopt") {
-      if (version < 3) {
-        Malformed(line);
-      }
-      TraceKnobs& k = trace.knobs;
-      int enabled = 0;
-      int semi_join = 0;
-      int pessimize = 0;
-      std::string min_share_hex;
-      std::string share_drift_hex;
-      std::string noise_z_hex;
-      std::string ratio_hex;
-      std::string remote_hex;
-      if (!(stream >> enabled >> k.reopt_divergence_pct >> k.reopt_min_executions >>
-            semi_join >> k.reopt_semi_join_blowup_pct >> pessimize >> min_share_hex >>
-            share_drift_hex >> noise_z_hex >> ratio_hex >> remote_hex >>
-            k.reopt_guard.min_samples)) {
-        Malformed(line);
-      }
-      RejectTrailing(stream, line);
-      k.reopt_enabled = enabled != 0;
-      k.reopt_semi_join_reduction = semi_join != 0;
-      k.reopt_pessimize = pessimize != 0;
-      k.reopt_guard.min_share = BitsToDouble(ParseHexU64(min_share_hex, line));
-      k.reopt_guard.share_drift = BitsToDouble(ParseHexU64(share_drift_hex, line));
-      k.reopt_guard.share_noise_z = BitsToDouble(ParseHexU64(noise_z_hex, line));
-      k.reopt_guard.cycles_per_row_ratio = BitsToDouble(ParseHexU64(ratio_hex, line));
-      k.reopt_guard.remote_share_drift = BitsToDouble(ParseHexU64(remote_hex, line));
-    } else if (keyword == "template") {
+    if (keyword == "template") {
       PlanTemplate entry;
       std::string structure_hex;
       std::string name_token;
@@ -577,7 +508,6 @@ WorkloadTrace ReadTrace(std::istream& in) {
       } else {
         Malformed(line);
       }
-      q.literals.reserve(bindings);
       for (size_t i = 0; i < bindings; ++i) {
         std::string kind_token;
         if (!(stream >> kind_token)) {

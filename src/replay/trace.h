@@ -15,9 +15,9 @@
 //    serialized sample stream, and a fleet summary (throughput, per-fingerprint latency
 //    quantiles, hottest operators, tier timeline totals) that the ReplayReport diffs against.
 //
-// The text format is versioned like the sample streams (v1 today); readers reject future
-// versions instead of guessing. Serialization is a fixed point: parse(write(trace)) == trace
-// and write(parse(text)) == text, which the compat tests pin down.
+// The text format has one version, like every dfp text format: readers reject any other header
+// instead of guessing. Serialization is a fixed point: parse(write(trace)) == trace and
+// write(parse(text)) == text, which the format tests pin down.
 #ifndef DFP_SRC_REPLAY_TRACE_H_
 #define DFP_SRC_REPLAY_TRACE_H_
 
@@ -82,17 +82,14 @@ struct TraceKnobs {
   bool tiering_enabled = false;
   double break_even_ratio = 1.0;
   uint64_t min_executions = 2;
-  // Profile-feedback scheduling (trace v2). The `sched` knob line is written only when some
-  // field differs from these defaults, so traces of services that never enabled the loop stay
-  // byte-identical v1 files.
+  // Profile-feedback scheduling (the `sched` knob line).
   bool slack_scheduling = false;
   bool placement_repair = false;
   bool deadline_admission = false;
   uint64_t slack_max_age = 64;
   bool repair_pessimize = false;
-  // Closed-loop re-optimization (trace v3), captured in full — including the guard thresholds,
-  // since a replayed keep/revert verdict must judge by the recorded bar. The `reopt` knob line
-  // is written only when some field differs from these defaults.
+  // Closed-loop re-optimization (the `reopt` knob line), captured in full — including the
+  // guard thresholds, since a replayed keep/revert verdict must judge by the recorded bar.
   bool reopt_enabled = false;
   uint64_t reopt_divergence_pct = 400;
   uint64_t reopt_min_executions = 3;
@@ -196,16 +193,15 @@ struct WorkloadTrace {
 };
 
 // Line-oriented text format (see DESIGN.md §2f for the grammar):
-//   # dfp trace v1|v2|v3
+//   # dfp trace v4
 //   catalog <version>
 //   start <cycles>
 //   knobs <flattened TraceKnobs fields, doubles as IEEE-754 bit patterns>
 //   costs <nine CompileCostModel fields>
 //   sched <slack-scheduling> <placement-repair> <deadline-admission> <slack-max-age>
-//         <repair-pessimize>                                   (v2; only when non-default)
+//         <repair-pessimize>
 //   reopt <enabled> <divergence-pct> <min-executions> <semi-join> <blowup-pct> <pessimize>
 //         <five guard doubles as IEEE-754 bit patterns> <guard-min-samples>
-//                                                              (v3; only when non-default)
 //   template <structure-hex> <name-token>
 //   <plan codec block ... endplan>
 //   query <seq> <name-token> <structure-hex> <literals-hex> <pinned-hex> <arrival> <weight>
@@ -217,9 +213,8 @@ struct WorkloadTrace {
 //   tiers <samples> <baseline> <optimized> <transitions> <swapped>
 //   fp <structure-hex> <execs> <cycles> <p50> <p95> <max> <topsamples> <top-token> <name-token>
 //   end
-// Versioning is content-driven: the writer emits v3 only when the reopt knob line is present
-// and v2 only when the sched knob line is, so older traces stay byte-identical v1/v2 files.
-// Readers reject versions above v3 ("written by a newer build" — no forward guessing) and
+// The header through the `reopt` knob line is a fixed sequence; the body lines may come in any
+// order. Readers reject every header but v4 ("regenerate with this build" — no guessing) and
 // throw dfp::Error on truncation or malformed lines.
 void WriteTrace(const WorkloadTrace& trace, std::ostream& out);
 std::string EncodeTraceText(const WorkloadTrace& trace);

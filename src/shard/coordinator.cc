@@ -32,8 +32,8 @@ ShardedService::ShardedService(ShardCatalog& catalog, ShardServiceConfig config)
   shards_.reserve(catalog_.shards());
   for (uint32_t s = 0; s < catalog_.shards(); ++s) {
     ServiceConfig shard_config = config_.service;
-    // 1-based shard ids stamp samples (stream v7); the 1-shard degenerate case keeps id 0 so
-    // its streams stay byte-identical to an unsharded service's (pre-v7 headers).
+    // 1-based shard ids stamp samples (`D` tokens); the 1-shard degenerate case keeps id 0 so
+    // its streams stay byte-identical to an unsharded service's.
     shard_config.parallel.shard_id = catalog_.shards() > 1 ? s + 1 : 0;
     if (s > 0) {
       shard_config.state_path.clear();

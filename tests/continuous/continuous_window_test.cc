@@ -1,9 +1,10 @@
-// WindowedProfile: ring bounds, quantiles, roll-up, deterministic JSON, and the v2
-// service-profile round-trip (with v1 backward compatibility).
+// WindowedProfile: ring bounds, quantiles, roll-up, deterministic JSON, and the service-profile
+// round-trip, truncation and corruption paths.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/continuous/regression.h"
 #include "src/continuous/window.h"
@@ -132,7 +133,7 @@ TEST(WindowedProfile, JsonExportIsDeterministic) {
   EXPECT_EQ(a.find('.'), std::string::npos);
 }
 
-TEST(ServiceProfileV2, WindowsRoundTripThroughTextFormat) {
+TEST(ServiceProfileFormat, WindowsRoundTripThroughTextFormat) {
   ServiceProfile fleet;
   FleetPlanProfile plan;
   plan.fingerprint = 0x42;
@@ -155,7 +156,7 @@ TEST(ServiceProfileV2, WindowsRoundTripThroughTextFormat) {
   std::ostringstream out;
   WriteServiceProfile(fleet, windows, out);
   const std::string text = out.str();
-  EXPECT_NE(text.find("# dfp service profile v2"), std::string::npos);
+  EXPECT_EQ(text.rfind("# dfp service profile v6\n", 0), 0u);
   EXPECT_NE(text.find("windowcfg 1000 3"), std::string::npos);
 
   std::istringstream in(text);
@@ -212,7 +213,7 @@ TEST(WindowedProfile, TierFreeRenderingIsUnchanged) {
   EXPECT_EQ(windows.Render().find("baseline"), std::string::npos);
 }
 
-TEST(ServiceProfileV3, StateRoundTripsWithClockTiersAndBaselines) {
+TEST(ServiceProfileFormat, StateRoundTripsWithClockTiersAndBaselines) {
   ServiceProfile fleet;
   FleetPlanProfile plan;
   plan.fingerprint = 0x42;
@@ -232,7 +233,6 @@ TEST(ServiceProfileV3, StateRoundTripsWithClockTiersAndBaselines) {
   std::ostringstream out;
   WriteServiceState(fleet, windows, baselines, /*service_clock_cycles=*/123456, out);
   const std::string text = out.str();
-  EXPECT_NE(text.find("# dfp service profile v3"), std::string::npos);
   EXPECT_NE(text.find("clock 123456"), std::string::npos);
   EXPECT_NE(text.find("baseline 0000000000000042"), std::string::npos);
   EXPECT_NE(text.find("bop 0000000000000042"), std::string::npos);
@@ -253,50 +253,145 @@ TEST(ServiceProfileV3, StateRoundTripsWithClockTiersAndBaselines) {
   EXPECT_EQ(rewritten.str(), text);
 }
 
-TEST(ServiceProfileV3, StateLinesAreRejectedInOlderVersions) {
-  std::istringstream clock_in_v2("# dfp service profile v2\nclock 5\n");
-  EXPECT_THROW(ReadServiceProfile(clock_in_v2), Error);
-  std::istringstream orphan_bop(
-      "# dfp service profile v3\nclock 5\nbop 0000000000000001 1 2 3 scan\n");
-  BaselineStore sink;
-  EXPECT_THROW(ReadServiceProfile(orphan_bop, nullptr, &sink), Error);
-}
-
-TEST(ServiceProfileV2, V1FormatStillParses) {
-  const std::string v1 =
-      "# dfp service profile v1\n"
-      "plan 0000000000000042 2 1 1 5000 12345 q6\n"
-      "op 0000000000000042 1 17 TableScan lineitem\n";
-  std::istringstream in(v1);
-  WindowedProfile windows;
-  ServiceProfile profile = ReadServiceProfile(in, &windows);
-  EXPECT_EQ(profile.plans().at(0x42).executions, 2u);
-  EXPECT_EQ(profile.plans().at(0x42).operators.at(1).label, "TableScan lineitem");
-  EXPECT_TRUE(windows.empty());
-
-  // The two-argument writer still emits v1, byte-compatible with old readers.
-  std::ostringstream out;
-  WriteServiceProfile(profile, out);
-  EXPECT_EQ(out.str(), v1);
-}
-
-TEST(ServiceProfileV2, WindowLinesInV1FileAreMalformed) {
+TEST(ServiceProfileFormat, WopWithoutWindowIsMalformed) {
   const std::string bad =
-      "# dfp service profile v1\n"
-      "window 0000000000000042 0 1 1 1 1 1 1 1 1 1 1 1 1\n";
-  std::istringstream in(bad);
-  EXPECT_THROW(ReadServiceProfile(in), Error);
-}
-
-TEST(ServiceProfileV2, WopWithoutWindowIsMalformed) {
-  const std::string bad =
-      "# dfp service profile v2\n"
+      "# dfp service profile v6\n"
       "windowcfg 1000 3\n"
       "plan 0000000000000042 1 0 1 10 10 q\n"
       "wop 0000000000000042 0 1 5 500 Scan\n";
   std::istringstream in(bad);
   WindowedProfile windows;
   EXPECT_THROW(ReadServiceProfile(in, &windows), Error);
+
+  std::istringstream orphan_bop(
+      "# dfp service profile v6\nclock 5\nbop 0000000000000001 1 2 3 scan\n");
+  BaselineStore sink;
+  EXPECT_THROW(ReadServiceProfile(orphan_bop, nullptr, &sink), Error);
+}
+
+TEST(ServiceProfileFormat, CorruptFieldsThrowDfpError) {
+  // Every corrupt input fails with dfp::Error — never a std:: parse exception, a silently
+  // shortened key, or a configuration that crashes the next Record.
+  const std::vector<std::string> bad = {
+      // Fingerprints are exactly 16 lowercase hex digits.
+      "plan zz 1 0 1 10 10 q\n",
+      "plan 00000000000000042 1 0 1 10 10 q\n",
+      "plan 12xyz 1 0 1 10 10 q\n",
+      "plan 000000000000004G 1 0 1 10 10 q\n",
+      // A zero window width would divide by zero; a zero ring holds no window.
+      "windowcfg 0 4\n",
+      "windowcfg 1000 0\n",
+      // Window lines carry the baseline counts.
+      "plan 0000000000000042 1 0 1 10 10 q\n"
+      "window 0000000000000042 0 1 1 1 1 1 1 1 1 1 1 1 1\n",
+  };
+  for (const std::string& body : bad) {
+    std::istringstream in("# dfp service profile v6\n" + body);
+    WindowedProfile windows;
+    BaselineStore baselines;
+    EXPECT_THROW(ReadServiceProfile(in, &windows, &baselines), Error) << body;
+  }
+}
+
+TEST(ServiceProfileFormat, WritersDifferOnlyInTheSectionsTheyEmit) {
+  ServiceProfile fleet;
+  FleetPlanProfile plan;
+  plan.fingerprint = 0x42;
+  plan.name = "q3";
+  plan.executions = 1;
+  fleet.AddLoadedPlan(plan);
+  fleet.AddLoadedCriticality(0x42, 900, 61, "HashJoin");
+  WindowedProfile windows(SmallConfig());
+  windows.Record(0x42, "q3", 10, MakeProfile({{1, "Scan", 4}}), MakeCounters(9, 2, 1), 333, 7,
+                 311);
+
+  std::ostringstream plain;
+  std::ostringstream windowed;
+  std::ostringstream state;
+  WriteServiceProfile(fleet, plain);
+  WriteServiceProfile(fleet, windows, windowed);
+  WriteServiceState(fleet, windows, BaselineStore(), /*service_clock_cycles=*/2000, state);
+
+  // Every writer emits a crit line for a plan with a bottleneck.
+  EXPECT_NE(plain.str().find("\ncrit 0000000000000042 900 61 HashJoin\n"), std::string::npos);
+  // The windowed file is the plain one plus the window section, opened by windowcfg; the state
+  // file adds the clock after the one header.
+  const std::string header = "# dfp service profile v6\n";
+  ASSERT_EQ(plain.str().rfind(header, 0), 0u);
+  ASSERT_EQ(windowed.str().rfind(plain.str(), 0), 0u);
+  EXPECT_EQ(windowed.str().substr(plain.str().size()).rfind("windowcfg 1000 3\n", 0), 0u);
+  EXPECT_EQ(state.str(), header + "clock 2000\n" + windowed.str().substr(header.size()));
+  // A window recorded without a tier still carries both baseline counts.
+  const size_t at = windowed.str().find("\nwindow ");
+  ASSERT_NE(at, std::string::npos);
+  const std::string line =
+      windowed.str().substr(at + 1, windowed.str().find('\n', at + 1) - at - 1);
+  std::istringstream fields(line);
+  std::vector<std::string> tokens;
+  for (std::string token; fields >> token;) {
+    tokens.push_back(token);
+  }
+  ASSERT_EQ(tokens.size(), 17u) << line;
+  EXPECT_EQ(tokens[15], "0");
+  EXPECT_EQ(tokens[16], "0");
+
+  std::istringstream in(plain.str());
+  const ServiceProfile loaded = ReadServiceProfile(in);
+  EXPECT_EQ(loaded.plans().at(0x42).bottleneck, "HashJoin");
+  EXPECT_EQ(loaded.plans().at(0x42).critical_cycles, 900u);
+  EXPECT_EQ(loaded.plans().at(0x42).top_share_pct, 61u);
+}
+
+TEST(ServiceProfileFormat, WindowPastTheServiceClockIsMalformed) {
+  // A resumed service records its next execution at the loaded clock. A window in the clock's
+  // own window (5000 / 1000 = 5) loads and keeps taking executions; one past it is corrupt.
+  auto state = [](const std::string& clock_line, uint64_t index) {
+    return "# dfp service profile v6\n" + clock_line +
+           "plan 0000000000000042 1 0 1 10 10 q\n"
+           "windowcfg 1000 3\n"
+           "window 0000000000000042 " +
+           std::to_string(index) + " 1 0 1 1 1 1 1 1 1 1 1 1 0 0\n";
+  };
+  {
+    std::istringstream in(state("clock 5000\n", 5));
+    WindowedProfile windows;
+    uint64_t clock = 0;
+    ReadServiceProfile(in, &windows, nullptr, &clock);
+    windows.Record(0x42, "q", clock, MakeProfile({{1, "Scan", 4}}), MakeCounters(9, 2, 1), 333,
+                   7, 311);
+    EXPECT_EQ(windows.plans().at(0x42).windows.back().executions, 2u);
+  }
+  for (uint64_t index : {6u, 100u}) {
+    std::istringstream in(state("clock 5000\n", index));
+    WindowedProfile windows;
+    EXPECT_THROW(ReadServiceProfile(in, &windows), Error) << index;
+  }
+  // A profile without a clock resumes nothing; its windows load wherever they lie.
+  std::istringstream offline(state("", 100));
+  WindowedProfile windows;
+  ReadServiceProfile(offline, &windows);
+  EXPECT_EQ(windows.plans().at(0x42).windows.back().index, 100u);
+}
+
+TEST(ServiceProfileFormat, NegativeFieldsAreMalformed) {
+  // Every count, index and clock is unsigned; a '-' must not wrap to a huge value that passes
+  // the parser's range checks (a width of -1000 is not zero).
+  const std::vector<std::string> bad = {
+      "clock -1\n",
+      "windowcfg -1000 3\n",
+      "windowcfg 1000 -3\n",
+      "plan 0000000000000042 -1 0 1 10 10 q\n",
+      "plan 0000000000000042 1 0 1 10 10 q\nop 0000000000000042 -1 5 Scan\n",
+      "plan 0000000000000042 1 0 1 10 10 q\n"
+      "window 0000000000000042 -1 1 0 1 1 1 1 1 1 1 1 1 1 0 0\n",
+      "slackgen -2\n",
+      "card 0000000000000042 1 -5 5 1 1\n",
+  };
+  for (const std::string& body : bad) {
+    std::istringstream in("# dfp service profile v6\n" + body);
+    WindowedProfile windows;
+    EXPECT_THROW(ReadServiceProfile(in, &windows), Error) << body;
+  }
 }
 
 }  // namespace

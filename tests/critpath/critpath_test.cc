@@ -1,6 +1,6 @@
 // Critical-path subsystem: hand-computed slack/critical-path over synthetic task DAGs,
 // classifier guards on degenerate inputs, bit-level determinism of the serialized analysis,
-// v5 sample-stream round trips that rebuild the identical DAG, and the roofline acceptance
+// sample-stream round trips that rebuild the identical DAG, and the roofline acceptance
 // bar — on the skewed q6 workload the classifier must label the scan pipeline
 // remote-DRAM-bound under locality-blind central dispatch and compute-bound once NUMA-aware
 // stealing keeps the traffic local.
@@ -344,8 +344,8 @@ TEST(SlackStore, StalePlansAgeOutAfterMaxAgeGenerations) {
   EXPECT_EQ(store.ExpectedCriticalPathCycles(1), 0u);
 }
 
-TEST(CritPath, V5StreamRebuildsTheIdenticalDag) {
-  // The task-boundary block in a v5 stream is the DAG: reading the stream back and rebuilding
+TEST(CritPath, SampleStreamRebuildsTheIdenticalDag) {
+  // The task-boundary block in a sample stream is the DAG: reading the stream back and rebuilding
   // must reproduce the live analysis byte for byte — profiles stay analyzable offline.
   Database& db = *SkewedDb();
   QueryEngine engine(&db);
@@ -362,16 +362,17 @@ TEST(CritPath, V5StreamRebuildsTheIdenticalDag) {
   const std::vector<TaskBoundary> boundaries = engine.last_task_boundaries();
   ASSERT_FALSE(boundaries.empty());
 
+  SampleStream stream;
+  stream.samples = session.samples();
+  stream.tasks = boundaries;
   std::ostringstream out;
-  WriteSamples(session.samples(), {}, boundaries, out);
-  EXPECT_NE(out.str().find("# dfp samples v5"), std::string::npos);
+  WriteSamples(stream, out);
 
   std::istringstream in(out.str());
-  std::vector<SampleStreamEvent> events;
-  std::vector<TaskBoundary> reread;
-  std::vector<Sample> samples = ReadSamples(in, &events, &reread);
-  EXPECT_EQ(samples.size(), session.samples().size());
-  EXPECT_TRUE(events.empty());
+  const SampleStream loaded = ReadSamples(in);
+  const std::vector<TaskBoundary>& reread = loaded.tasks;
+  EXPECT_EQ(loaded.samples.size(), session.samples().size());
+  EXPECT_TRUE(loaded.events.empty());
   ASSERT_EQ(reread.size(), boundaries.size());
 
   const TaskDag live = BuildTaskDag(boundaries);

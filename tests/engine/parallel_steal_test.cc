@@ -166,12 +166,13 @@ TEST(ParallelSteal, StolenSamplesCarryLocalityAndAttribute) {
   EXPECT_GT(remote, 0u);
   EXPECT_GT(with_node, remote);
 
-  // The locality fields survive the v3 serialization round trip sample-for-sample.
+  // The locality fields survive the serialization round trip sample-for-sample.
+  SampleStream stream;
+  stream.samples = session.samples();
   std::ostringstream out;
-  WriteSamples(session.samples(), out);
-  EXPECT_NE(out.str().find("# dfp samples v3"), std::string::npos);
+  WriteSamples(stream, out);
   std::istringstream in(out.str());
-  std::vector<Sample> reread = ReadSamples(in);
+  std::vector<Sample> reread = ReadSamples(in).samples;
   ASSERT_EQ(reread.size(), session.samples().size());
   for (size_t i = 0; i < reread.size(); ++i) {
     EXPECT_EQ(reread[i].stolen, session.samples()[i].stolen) << i;
@@ -198,8 +199,10 @@ TEST(ParallelSteal, StealingScheduleIsDeterministic) {
     for (const WorkerMetrics& w : engine.last_worker_metrics()) {
       steals += w.steals;
     }
+    SampleStream stream;
+    stream.samples = session.samples();
     std::ostringstream out;
-    WriteSamples(session.samples(), out);
+    WriteSamples(stream, out);
     return std::make_pair(steals, out.str());
   };
   const auto [steals1, stream1] = run();

@@ -113,8 +113,10 @@ TEST(ParallelTest, MergedSampleStreamIsDeterministic) {
   config.workers = 4;
   auto dump = [&] {
     engine.ExecuteParallel(query, config);
+    SampleStream stream;
+    stream.samples = session.samples();
     std::ostringstream out;
-    WriteSamples(session.samples(), out);
+    WriteSamples(stream, out);
     return out.str();
   };
   const std::string first = dump();
@@ -137,8 +139,11 @@ TEST(ParallelTest, MergedSampleStreamIsDeterministic) {
 // Everything a parallel run reports that depends on core state: the serialized sample stream
 // with its task boundaries, each worker's metrics, and the wall clock.
 std::string DumpRun(const QueryEngine& engine, const ProfilingSession& session) {
+  SampleStream stream;
+  stream.samples = session.samples();
+  stream.tasks = engine.last_task_boundaries();
   std::ostringstream out;
-  WriteSamples(session.samples(), {}, engine.last_task_boundaries(), out);
+  WriteSamples(stream, out);
   for (const WorkerMetrics& w : engine.last_worker_metrics()) {
     out << "worker " << w.worker_id << ' ' << int{w.node} << ' ' << w.busy_cycles << ' '
         << w.idle_cycles << ' ' << w.morsels << ' ' << w.steals << ' ' << w.samples << ' '
@@ -213,10 +218,12 @@ TEST(ParallelTest, SerializationRoundTripsWorkerIds) {
   engine.ExecuteParallel(query, config);
   ASSERT_FALSE(session.samples().empty());
 
+  SampleStream stream;
+  stream.samples = session.samples();
   std::ostringstream out;
-  WriteSamples(session.samples(), out);
+  WriteSamples(stream, out);
   std::istringstream in(out.str());
-  std::vector<Sample> reread = ReadSamples(in);
+  std::vector<Sample> reread = ReadSamples(in).samples;
   ASSERT_EQ(reread.size(), session.samples().size());
   for (size_t i = 0; i < reread.size(); ++i) {
     EXPECT_EQ(reread[i].worker_id, session.samples()[i].worker_id) << "sample " << i;

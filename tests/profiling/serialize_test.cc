@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/engine/query_engine.h"
 #include "src/plan/builder.h"
@@ -11,6 +13,23 @@
 
 namespace dfp {
 namespace {
+
+SampleStream OnlySamples(std::vector<Sample> samples) {
+  SampleStream stream;
+  stream.samples = std::move(samples);
+  return stream;
+}
+
+std::string Write(const SampleStream& stream) {
+  std::ostringstream out;
+  WriteSamples(stream, out);
+  return out.str();
+}
+
+SampleStream Read(const std::string& text) {
+  std::istringstream in(text);
+  return ReadSamples(in);
+}
 
 TEST(Serialize, DictionaryRoundTrip) {
   TaggingDictionary dictionary;
@@ -53,9 +72,7 @@ TEST(Serialize, SamplesRoundTrip) {
   with_stack.callstack = {0x2000001, 0x2000002};
   samples.push_back(with_stack);
 
-  std::stringstream stream;
-  WriteSamples(samples, stream);
-  std::vector<Sample> loaded = ReadSamples(stream);
+  std::vector<Sample> loaded = Read(Write(OnlySamples(samples))).samples;
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded[0].tsc, 100u);
   EXPECT_FALSE(loaded[0].has_registers);
@@ -77,12 +94,11 @@ TEST(Serialize, WorkerIdsRoundTripBeyondSingleDigits) {
     sample.worker_id = worker;
     samples.push_back(sample);
   }
-  std::stringstream stream;
-  WriteSamples(samples, stream);
-  EXPECT_NE(stream.str().find("# dfp samples v2"), std::string::npos);
-  EXPECT_NE(stream.str().find("W 12"), std::string::npos);
-  EXPECT_NE(stream.str().find("W 48"), std::string::npos);
-  std::vector<Sample> loaded = ReadSamples(stream);
+  const std::string text = Write(OnlySamples(samples));
+  EXPECT_EQ(text.rfind("# dfp samples v8\n", 0), 0u);
+  EXPECT_NE(text.find("W 12"), std::string::npos);
+  EXPECT_NE(text.find("W 48"), std::string::npos);
+  std::vector<Sample> loaded = Read(text).samples;
   ASSERT_EQ(loaded.size(), samples.size());
   for (size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(loaded[i].worker_id, samples[i].worker_id) << i;
@@ -101,9 +117,7 @@ TEST(Serialize, MixedWorkerStreamKeepsPerSampleIds) {
     sample.worker_id = worker;
     samples.push_back(sample);
   }
-  std::stringstream stream;
-  WriteSamples(samples, stream);
-  std::vector<Sample> loaded = ReadSamples(stream);
+  std::vector<Sample> loaded = Read(Write(OnlySamples(samples))).samples;
   ASSERT_EQ(loaded.size(), samples.size());
   for (size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(loaded[i].worker_id, samples[i].worker_id) << i;
@@ -111,35 +125,9 @@ TEST(Serialize, MixedWorkerStreamKeepsPerSampleIds) {
   }
 }
 
-TEST(Serialize, SingleWorkerStreamStaysV1) {
-  // Pure worker-0 streams keep the v1 header: dumps from single-threaded runs stay
-  // byte-compatible with pre-parallel readers.
-  std::vector<Sample> samples(3);
-  for (size_t i = 0; i < samples.size(); ++i) {
-    samples[i].tsc = i;
-    samples[i].ip = 0x1000000;
-  }
-  std::stringstream stream;
-  WriteSamples(samples, stream);
-  EXPECT_NE(stream.str().find("# dfp samples v1"), std::string::npos);
-  EXPECT_EQ(stream.str().find(" W "), std::string::npos);
-}
-
-TEST(Serialize, RejectsWorkerTokenInV1Stream) {
-  // A v1 stream is single-threaded by definition; a W token means the file was mislabeled or
-  // spliced, and the loader must fail cleanly instead of guessing.
-  std::stringstream stream("# dfp samples v1\nsample 100 16777217 0 W 2\n");
-  EXPECT_THROW(ReadSamples(stream), Error);
-  // The same line under a v2 header is fine.
-  std::stringstream ok("# dfp samples v2\nsample 100 16777217 0 W 2\n");
-  std::vector<Sample> loaded = ReadSamples(ok);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].worker_id, 2u);
-}
-
-TEST(Serialize, LocalityRoundTripIsV3) {
-  // Samples carrying NUMA node info or steal flags promote the stream to v3; every per-sample
-  // combination of node/remote/stolen must survive the round trip independently.
+TEST(Serialize, LocalityRoundTrip) {
+  // Every per-sample combination of NUMA node/remote/stolen must survive the round trip
+  // independently.
   std::vector<Sample> samples;
   {
     Sample local;  // Node info, local access.
@@ -173,12 +161,10 @@ TEST(Serialize, LocalityRoundTripIsV3) {
     plain.ip = 0x1000004;
     samples.push_back(plain);
   }
-  std::stringstream stream;
-  WriteSamples(samples, stream);
-  EXPECT_NE(stream.str().find("# dfp samples v3"), std::string::npos);
-  EXPECT_NE(stream.str().find("N 2 1"), std::string::npos);
-  EXPECT_NE(stream.str().find(" T"), std::string::npos);
-  std::vector<Sample> loaded = ReadSamples(stream);
+  const std::string text = Write(OnlySamples(samples));
+  EXPECT_NE(text.find("N 2 1"), std::string::npos);
+  EXPECT_NE(text.find(" T"), std::string::npos);
+  std::vector<Sample> loaded = Read(text).samples;
   ASSERT_EQ(loaded.size(), samples.size());
   for (size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(loaded[i].worker_id, samples[i].worker_id) << i;
@@ -188,73 +174,11 @@ TEST(Serialize, LocalityRoundTripIsV3) {
   }
 }
 
-TEST(Serialize, WorkerStreamWithoutLocalityStaysV2) {
-  // Parallel streams without locality info keep the v2 header, byte-identical to dumps written
-  // before the NUMA fields existed.
-  std::vector<Sample> samples(2);
-  samples[0].tsc = 1;
-  samples[0].ip = 0x1000000;
-  samples[1].tsc = 2;
-  samples[1].ip = 0x1000000;
-  samples[1].worker_id = 5;
-  std::stringstream stream;
-  WriteSamples(samples, stream);
-  EXPECT_NE(stream.str().find("# dfp samples v2"), std::string::npos);
-  EXPECT_EQ(stream.str().find(" N "), std::string::npos);
-  EXPECT_EQ(stream.str().find(" T"), std::string::npos);
-  std::vector<Sample> loaded = ReadSamples(stream);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[1].worker_id, 5u);
-  EXPECT_EQ(loaded[0].mem_node, kNoNumaNode);
-  EXPECT_FALSE(loaded[1].stolen);
-}
-
-TEST(Serialize, V2StreamStillParses) {
-  // Backward compatibility: a stream written by the v2 serializer (W tokens, no locality) must
-  // load under the v3-aware reader with the locality fields at their defaults.
-  std::stringstream stream(
-      "# dfp samples v2\n"
-      "sample 100 16777217 0\n"
-      "sample 200 16777218 48879 W 2\n"
-      "sample 300 16777219 0 W 7 S 2 33554433 33554434\n");
-  std::vector<Sample> loaded = ReadSamples(stream);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(loaded[1].worker_id, 2u);
-  EXPECT_EQ(loaded[2].callstack.size(), 2u);
-  for (const Sample& sample : loaded) {
-    EXPECT_EQ(sample.mem_node, kNoNumaNode);
-    EXPECT_FALSE(sample.numa_remote);
-    EXPECT_FALSE(sample.stolen);
-  }
-}
-
-TEST(Serialize, RejectsLocalityTokensInPreV3Streams) {
-  // N/T tokens under a v1 or v2 header prove the header lies about the version: fail cleanly,
-  // exactly like W-in-v1.
-  std::stringstream v2n("# dfp samples v2\nsample 100 16777217 0 N 1 0\n");
-  EXPECT_THROW(ReadSamples(v2n), Error);
-  std::stringstream v2t("# dfp samples v2\nsample 100 16777217 0 T\n");
-  EXPECT_THROW(ReadSamples(v2t), Error);
-  std::stringstream v1n("# dfp samples v1\nsample 100 16777217 0 N 1 0\n");
-  EXPECT_THROW(ReadSamples(v1n), Error);
-  // The same lines under a v3 header are fine, and v3 accepts W too.
-  std::stringstream ok("# dfp samples v3\nsample 100 16777217 0 W 2 N 1 1 T\n");
-  std::vector<Sample> loaded = ReadSamples(ok);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].worker_id, 2u);
-  EXPECT_EQ(loaded[0].mem_node, 1);
-  EXPECT_TRUE(loaded[0].numa_remote);
-  EXPECT_TRUE(loaded[0].stolen);
-}
-
 TEST(Serialize, RejectsMalformedLocalityTokens) {
   // Node ids are one byte and the remote flag is 0/1; anything else is malformed, not clamped.
-  std::stringstream big_node("# dfp samples v3\nsample 100 16777217 0 N 300 0\n");
-  EXPECT_THROW(ReadSamples(big_node), Error);
-  std::stringstream bad_remote("# dfp samples v3\nsample 100 16777217 0 N 1 2\n");
-  EXPECT_THROW(ReadSamples(bad_remote), Error);
-  std::stringstream truncated("# dfp samples v3\nsample 100 16777217 0 N 1\n");
-  EXPECT_THROW(ReadSamples(truncated), Error);
+  EXPECT_THROW(Read("# dfp samples v8\nsample 100 16777217 0 N 300 0\n"), Error);
+  EXPECT_THROW(Read("# dfp samples v8\nsample 100 16777217 0 N 1 2\n"), Error);
+  EXPECT_THROW(Read("# dfp samples v8\nsample 100 16777217 0 N 1\n"), Error);
 }
 
 TEST(Serialize, RejectsMalformedInput) {
@@ -266,15 +190,22 @@ TEST(Serialize, RejectsMalformedInput) {
     std::stringstream stream("# dfp tagging dictionary v1\nbogus 1 2\n");
     EXPECT_THROW(ReadDictionary(stream), Error);
   }
-  {
-    std::stringstream stream("# dfp samples v1\nsample nope\n");
-    EXPECT_THROW(ReadSamples(stream), Error);
-  }
+  EXPECT_THROW(Read("# dfp samples v8\nsample nope\n"), Error);
+  // Tier payloads are one byte: wider values are rejected, not truncated.
+  EXPECT_THROW(Read("# dfp samples v8\nsample 100 16777217 0 G 300\n"), Error);
+  // A call-stack depth beyond the listed return addresses is malformed.
+  EXPECT_THROW(Read("# dfp samples v8\nsample 100 16777217 0 S 99999999999 1 2\n"), Error);
+  // Task payloads: unknown kind, out-of-range stolen flag, end before start.
+  EXPECT_THROW(Read("# dfp samples v8\ntask 0 10 0 9 0 4294967295 0 0 0 0 0 0 0 0 0\n"), Error);
+  EXPECT_THROW(Read("# dfp samples v8\ntask 0 10 0 1 0 0 0 64 2 0 0 0 0 0 0\n"), Error);
+  EXPECT_THROW(Read("# dfp samples v8\ntask 10 5 0 1 0 0 0 64 0 0 0 0 0 0 0\n"), Error);
+  // Sideband lines need a tsc.
+  EXPECT_THROW(Read("# dfp samples v8\nsched later repair 0 applied\n"), Error);
 }
 
-TEST(Serialize, TierAndEventsRoundTripIsV4) {
-  // Samples carrying a compilation tier — or a stream carrying sideband events — promote the
-  // stream to v4; both must survive the round trip, with events re-interleaved by tsc.
+TEST(Serialize, TierAndEventsRoundTrip) {
+  // Samples carrying a compilation tier and a stream carrying sideband events must survive the
+  // round trip, with events re-interleaved by tsc.
   std::vector<Sample> samples;
   {
     Sample baseline;
@@ -284,7 +215,7 @@ TEST(Serialize, TierAndEventsRoundTripIsV4) {
     samples.push_back(baseline);
   }
   {
-    Sample optimized;  // Tier 0 emits no G token even inside a v4 stream.
+    Sample optimized;  // Tier 0 emits no G token.
     optimized.tsc = 30;
     optimized.ip = 0x1000002;
     samples.push_back(optimized);
@@ -293,18 +224,19 @@ TEST(Serialize, TierAndEventsRoundTripIsV4) {
                                            {20, "tier 0000000000000001 baseline optimized swapped"},
                                            {99, "trailing event"}};
 
-  std::stringstream stream;
-  WriteSamples(samples, events, stream);
-  const std::string text = stream.str();
-  EXPECT_NE(text.find("# dfp samples v4"), std::string::npos);
+  SampleStream stream;
+  stream.samples = samples;
+  stream.events = events;
+  const std::string text = Write(stream);
   // Events land before the first sample whose tsc passes them; the trailing one after all.
   EXPECT_LT(text.find("event 5 "), text.find("sample 10"));
   EXPECT_GT(text.find("event 20 "), text.find("sample 10"));
   EXPECT_LT(text.find("event 20 "), text.find("sample 30"));
   EXPECT_GT(text.find("event 99 "), text.find("sample 30"));
 
-  std::vector<SampleStreamEvent> loaded_events;
-  std::vector<Sample> loaded = ReadSamples(stream, &loaded_events);
+  const SampleStream reread = Read(text);
+  const std::vector<Sample>& loaded = reread.samples;
+  const std::vector<SampleStreamEvent>& loaded_events = reread.events;
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].tier, 1);
   EXPECT_EQ(loaded[1].tier, 0);
@@ -314,39 +246,9 @@ TEST(Serialize, TierAndEventsRoundTripIsV4) {
   EXPECT_EQ(loaded_events[2].tsc, 99u);
 }
 
-TEST(Serialize, TierFreeStreamsKeepTheirOldVersions) {
-  // No tier, no events: the two-argument writer must not move old streams to v4.
-  std::vector<Sample> samples;
-  Sample plain;
-  plain.tsc = 100;
-  plain.ip = 0x1000001;
-  samples.push_back(plain);
-  std::stringstream with_events_api;
-  WriteSamples(samples, std::vector<SampleStreamEvent>(), with_events_api);
-  std::stringstream classic;
-  WriteSamples(samples, classic);
-  EXPECT_EQ(with_events_api.str(), classic.str());
-  EXPECT_NE(classic.str().find("# dfp samples v1"), std::string::npos);
-}
-
-TEST(Serialize, RejectsTierAndEventTokensInPreV4Streams) {
-  std::stringstream tier_in_v3("# dfp samples v3\nsample 100 16777217 0 G 1\n");
-  EXPECT_THROW(ReadSamples(tier_in_v3), Error);
-  std::stringstream event_in_v3(
-      "# dfp samples v3\nevent 5 tier promoted\nsample 100 16777217 0\n");
-  EXPECT_THROW(ReadSamples(event_in_v3), Error);
-  // A v4 stream with events needs an event sink: silently dropping sideband data would make
-  // offline post-processing lie about what the service logged.
-  std::stringstream no_sink("# dfp samples v4\nevent 5 tier promoted\nsample 100 16777217 0\n");
-  EXPECT_THROW(ReadSamples(no_sink), Error);
-  // Malformed tier payloads are rejected, not truncated.
-  std::stringstream wide_tier("# dfp samples v4\nsample 100 16777217 0 G 300\n");
-  EXPECT_THROW(ReadSamples(wide_tier), Error);
-}
-
-TEST(Serialize, TaskBoundariesRoundTripIsV5) {
-  // Task-boundary records promote the stream to v5 and must survive the round trip field for
-  // field, written as a block right after the header in the order given.
+TEST(Serialize, TaskBoundariesRoundTrip) {
+  // Task-boundary records must survive the round trip field for field, written as a block
+  // right after the header in the order given.
   std::vector<Sample> samples;
   Sample plain;
   plain.tsc = 500;
@@ -383,16 +285,15 @@ TEST(Serialize, TaskBoundariesRoundTripIsV5) {
     tasks.push_back(morsel);
   }
 
-  std::stringstream stream;
-  WriteSamples(samples, {}, tasks, stream);
-  const std::string text = stream.str();
-  EXPECT_NE(text.find("# dfp samples v5"), std::string::npos);
+  SampleStream stream;
+  stream.samples = samples;
+  stream.tasks = tasks;
+  const std::string text = Write(stream);
   EXPECT_LT(text.find("task 0 120 "), text.find("sample 500"));
 
-  std::vector<SampleStreamEvent> events;
-  std::vector<TaskBoundary> loaded;
-  std::vector<Sample> reread = ReadSamples(stream, &events, &loaded);
-  ASSERT_EQ(reread.size(), 1u);
+  const SampleStream reread = Read(text);
+  const std::vector<TaskBoundary>& loaded = reread.tasks;
+  ASSERT_EQ(reread.samples.size(), 1u);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].kind, TaskKind::kHostStep);
   EXPECT_EQ(loaded[0].pipeline, kNoPipeline);
@@ -411,19 +312,11 @@ TEST(Serialize, TaskBoundariesRoundTripIsV5) {
   EXPECT_EQ(loaded[1].l2_misses, 40u);
   EXPECT_EQ(loaded[1].l3_misses, 12u);
   EXPECT_EQ(loaded[1].remote_dram, 5u);
-
-  // Task-free streams written through the three-argument API stay byte-identical to the
-  // classic writer — old dumps never silently become v5.
-  std::stringstream with_tasks_api;
-  WriteSamples(samples, {}, std::vector<TaskBoundary>(), with_tasks_api);
-  std::stringstream classic;
-  WriteSamples(samples, classic);
-  EXPECT_EQ(with_tasks_api.str(), classic.str());
 }
 
 TEST(Serialize, ReoptLinesRoundTripIsV8) {
-  // Re-optimization sideband lines promote the stream to v8 and interleave by tsc after any
-  // sched lines at the same timestamp (fixed order keeps double-run streams byte-identical).
+  // Re-optimization sideband lines interleave by tsc after any sched lines at the same
+  // timestamp (fixed order keeps double-run streams byte-identical).
   std::vector<Sample> samples;
   Sample plain;
   plain.tsc = 500;
@@ -440,79 +333,104 @@ TEST(Serialize, ReoptLinesRoundTripIsV8) {
   kept.text = "kept fp=12ab";
   reopt.push_back(kept);
 
-  std::stringstream stream;
-  WriteSamples(samples, {}, {}, {}, reopt, stream);
-  const std::string text = stream.str();
-  EXPECT_NE(text.find("# dfp samples v8"), std::string::npos);
+  SampleStream stream;
+  stream.samples = samples;
+  stream.sched = {{100, "repair 0 applied"}};
+  stream.reopt = reopt;
+  const std::string text = Write(stream);
+  EXPECT_EQ(text.rfind("# dfp samples v8\n", 0), 0u);
+  EXPECT_LT(text.find("sched 100 repair"), text.find("reopt 100 decided"));
   EXPECT_LT(text.find("reopt 100 decided fp=12ab divergence=4100"), text.find("sample 500"));
 
-  std::vector<SampleStreamEvent> events;
-  std::vector<TaskBoundary> tasks;
-  std::vector<SampleStreamEvent> sched;
-  std::vector<SampleStreamEvent> loaded;
-  std::vector<Sample> reread = ReadSamples(stream, &events, &tasks, &sched, &loaded);
-  ASSERT_EQ(reread.size(), 1u);
+  const SampleStream reread = Read(text);
+  const std::vector<SampleStreamEvent>& loaded = reread.reopt;
+  ASSERT_EQ(reread.samples.size(), 1u);
+  ASSERT_EQ(reread.sched.size(), 1u);
+  EXPECT_EQ(reread.sched[0].text, "repair 0 applied");
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].tsc, 100u);
   EXPECT_EQ(loaded[0].text, "decided fp=12ab divergence=4100");
   EXPECT_EQ(loaded[1].tsc, 400u);
   EXPECT_EQ(loaded[1].text, "kept fp=12ab");
 
-  // Reopt-free streams written through the five-argument API stay byte-identical to the
-  // classic writer — old dumps never silently become v8.
-  std::stringstream with_reopt_api;
-  WriteSamples(samples, {}, {}, {}, std::vector<SampleStreamEvent>(), with_reopt_api);
-  std::stringstream classic;
-  WriteSamples(samples, classic);
-  EXPECT_EQ(with_reopt_api.str(), classic.str());
-
-  // A v8 stream with reopt lines needs a reopt sink, and reopt lines are rejected in pre-v8
-  // streams — the same contract as tasks and sched above.
-  std::stringstream no_sink("# dfp samples v8\nreopt 100 decided fp=12ab\nsample 500 16777217 0\n");
-  EXPECT_THROW(ReadSamples(no_sink, &events, &tasks, &sched), Error);
-  std::stringstream pre_v8("# dfp samples v6\nreopt 100 decided fp=12ab\n");
-  EXPECT_THROW(ReadSamples(pre_v8, &events, &tasks, &sched, &loaded), Error);
+  // Byte-stable: writing what was read reproduces the stream exactly.
+  EXPECT_EQ(Write(reread), text);
 }
 
-TEST(Serialize, RejectsTaskTokensInPreV5StreamsAndNewerVersions) {
-  // A task line in a pre-v5 stream is malformed, not a forward-compatible extension.
-  std::stringstream task_in_v4(
-      "# dfp samples v4\ntask 0 10 0 0 0 4294967295 0 0 0 0 0 0 0 0 0\nsample 100 16777217 0\n");
-  std::vector<SampleStreamEvent> events;
-  std::vector<TaskBoundary> tasks;
-  EXPECT_THROW(ReadSamples(task_in_v4, &events, &tasks), Error);
+TEST(Serialize, EveryStreamIsWrittenAtTheCurrentVersion) {
+  // The header never depends on what the stream carries: an empty stream and a single-worker
+  // stream with no sideband are written as v8 too, and their sample lines carry no optional
+  // token.
+  EXPECT_EQ(Write(SampleStream()), "# dfp samples v8\n");
+  Sample plain;
+  plain.tsc = 100;
+  plain.ip = 0x1000001;
+  const std::string text = Write(OnlySamples({plain}));
+  EXPECT_EQ(text, "# dfp samples v8\nsample 100 16777217 0\n");
+  const SampleStream reread = Read(text);
+  ASSERT_EQ(reread.samples.size(), 1u);
+  EXPECT_EQ(reread.samples[0].worker_id, 0u);
+  EXPECT_EQ(reread.samples[0].shard_id, 0u);
+  EXPECT_TRUE(reread.tasks.empty());
+}
 
-  // A v5 stream with tasks needs a task sink: dropping the schedule silently would break the
-  // offline DAG reconstruction contract.
-  std::stringstream no_sink(
-      "# dfp samples v5\ntask 0 10 0 0 0 4294967295 0 0 0 0 0 0 0 0 0\nsample 100 16777217 0\n");
-  EXPECT_THROW(ReadSamples(no_sink), Error);
-
-  // Malformed task payloads are rejected: unknown kind, out-of-range stolen flag, end < start.
-  std::stringstream bad_kind(
-      "# dfp samples v5\ntask 0 10 0 9 0 4294967295 0 0 0 0 0 0 0 0 0\n");
-  EXPECT_THROW(ReadSamples(bad_kind, &events, &tasks), Error);
-  std::stringstream bad_stolen(
-      "# dfp samples v5\ntask 0 10 0 1 0 0 0 64 2 0 0 0 0 0 0\n");
-  EXPECT_THROW(ReadSamples(bad_stolen, &events, &tasks), Error);
-  std::stringstream backwards(
-      "# dfp samples v5\ntask 10 5 0 1 0 0 0 64 0 0 0 0 0 0 0\n");
-  EXPECT_THROW(ReadSamples(backwards, &events, &tasks), Error);
-
-  // A v6 stream with sched lines needs a sched sink — same contract as tasks above.
-  std::stringstream no_sched_sink(
-      "# dfp samples v6\nsched 100 repair 0 applied\nsample 100 16777217 0\n");
-  EXPECT_THROW(ReadSamples(no_sched_sink, &events, &tasks), Error);
-
-  // A stream from a newer build is rejected with a clear upgrade message, not a parse error.
-  std::stringstream v9("# dfp samples v9\nsample 100 16777217 0\n");
-  try {
-    ReadSamples(v9, &events, &tasks);
-    FAIL() << "v9 stream must be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("newer than this build"), std::string::npos)
-        << e.what();
+TEST(Serialize, ReaderReturnsEverySection) {
+  // One reader returns every section a stream carries, each in its written order, and writing
+  // what was read reproduces the stream byte for byte.
+  SampleStream stream;
+  for (uint64_t tsc : {100u, 300u, 500u}) {
+    Sample sample;
+    sample.tsc = tsc;
+    sample.ip = 0x1000000 + tsc;
+    sample.worker_id = static_cast<uint32_t>(tsc / 100);
+    sample.shard_id = 2;
+    stream.samples.push_back(sample);
   }
+  TaskBoundary task;
+  task.start_tsc = 50;
+  task.end_tsc = 450;
+  task.worker_id = 1;
+  task.kind = TaskKind::kMorsel;
+  stream.tasks.push_back(task);
+  stream.events = {{200, "tier 0000000000000001 baseline optimized decided"}};
+  stream.sched = {{250, "repair 0 applied"}, {600, "reject 7 deadline"}};
+  stream.reopt = {{300, "decided fp=12ab divergence=4100"}};
+  const std::string text = Write(stream);
+
+  const SampleStream reread = Read(text);
+  ASSERT_EQ(reread.samples.size(), 3u);
+  ASSERT_EQ(reread.tasks.size(), 1u);
+  ASSERT_EQ(reread.events.size(), 1u);
+  ASSERT_EQ(reread.sched.size(), 2u);
+  ASSERT_EQ(reread.reopt.size(), 1u);
+  EXPECT_EQ(reread.samples[2].worker_id, 5u);
+  EXPECT_EQ(reread.samples[2].shard_id, 2u);
+  EXPECT_EQ(reread.tasks[0].end_tsc, 450u);
+  EXPECT_EQ(reread.events[0].text, stream.events[0].text);
+  EXPECT_EQ(reread.sched[1].tsc, 600u);
+  EXPECT_EQ(reread.sched[1].text, "reject 7 deadline");
+  EXPECT_EQ(reread.reopt[0].tsc, 300u);
+  EXPECT_EQ(Write(reread), text);
+}
+
+TEST(Serialize, NegativeUnsignedFieldsAreMalformed) {
+  // Every one of these fields is unsigned; a '-' must not wrap to a huge id or timestamp.
+  const std::vector<std::string> bad = {
+      "sample -100 16777217 0\n",
+      "sample 100 16777217 0 W -1\n",
+      "sample 100 16777217 0 D -1\n",
+      "sample 100 16777217 0 N -1 0\n",
+      "sample 100 16777217 0 S -1 5\n",
+      "task 0 10 -1 1 0 0 0 64 0 0 0 0 0 0 0\n",
+      "event -5 tier change\n",
+      "sched -5 repair 0 applied\n",
+      "reopt -5 kept fp=12ab\n",
+  };
+  for (const std::string& body : bad) {
+    EXPECT_THROW(Read("# dfp samples v8\n" + body), Error) << body;
+  }
+  std::istringstream dictionary("# dfp tagging dictionary v1\ntask 0 -1 scan\n");
+  EXPECT_THROW(ReadDictionary(dictionary), Error);
 }
 
 TEST(Serialize, OfflineResolutionMatchesLiveSession) {
@@ -551,11 +469,10 @@ TEST(Serialize, OfflineResolutionMatchesLiveSession) {
   // Serialize the meta-data and samples, then resolve in a fresh session.
   std::stringstream dict_file;
   WriteDictionary(live.dictionary(), dict_file);
-  std::stringstream sample_file;
-  WriteSamples(live.samples(), sample_file);
+  const std::string sample_file = Write(OnlySamples(live.samples()));
 
   ProfilingSession offline(config);
-  offline.LoadForPostProcessing(ReadDictionary(dict_file), ReadSamples(sample_file),
+  offline.LoadForPostProcessing(ReadDictionary(dict_file), Read(sample_file).samples,
                                 live.execution_cycles());
 
   live.Resolve(db.code_map());

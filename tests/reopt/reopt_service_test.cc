@@ -2,7 +2,8 @@
 // misestimate triggers a re-plan whose candidate compiles on the background lane and swaps in
 // atomically; the guard keeps a winning candidate and reverts an injected pessimizing rewrite;
 // results stay bit-identical through decide, apply, keep, and revert; the CardStore and reopt
-// log round-trip through the v6 service profile; reopt sideband lines force v8 sample streams;
+// log round-trip through the service profile; reopt sideband lines round-trip through the
+// sample stream;
 // and the whole loop is deterministic across double runs.
 #include <gtest/gtest.h>
 
@@ -212,29 +213,23 @@ TEST(ReoptService, ReoptSidebandForcesV8SampleStreams) {
   ASSERT_FALSE(service.reopt_events().empty());
 
   const TicketId last = RunSpine(service, *db, false, 50);
+  SampleStream stream;
+  stream.samples = service.ticket(last).session->samples();
+  stream.reopt = service.reopt_events();
   std::ostringstream out;
-  WriteSamples(service.ticket(last).session->samples(), {}, {}, {}, service.reopt_events(),
-               out);
+  WriteSamples(stream, out);
   const std::string text = out.str();
   EXPECT_EQ(text.rfind("# dfp samples v8", 0), 0u);
   EXPECT_NE(text.find("\nreopt "), std::string::npos);
 
-  // Round trip: the reopt lines come back through the sideband sink, in stream order.
+  // Round trip: the reopt lines come back in their own section, in stream order.
   std::istringstream in(text);
-  std::vector<SampleStreamEvent> events;
-  std::vector<TaskBoundary> tasks;
-  std::vector<SampleStreamEvent> sched;
-  std::vector<SampleStreamEvent> reopt;
-  ReadSamples(in, &events, &tasks, &sched, &reopt);
+  const std::vector<SampleStreamEvent> reopt = ReadSamples(in).reopt;
   ASSERT_EQ(reopt.size(), service.reopt_events().size());
   for (size_t i = 0; i < reopt.size(); ++i) {
     EXPECT_EQ(reopt[i].tsc, service.reopt_events()[i].tsc);
     EXPECT_EQ(reopt[i].text, service.reopt_events()[i].text);
   }
-
-  // A reader without a reopt sink must reject the stream instead of dropping lines.
-  std::istringstream no_sink(text);
-  EXPECT_THROW(ReadSamples(no_sink, &events, &tasks, &sched), Error);
 }
 
 TEST(ReoptService, CardsAndReoptLogRoundTripThroughServiceProfileV6) {
@@ -303,9 +298,12 @@ TEST(ReoptService, DoubleRunReoptLoopIsDeterministic) {
     for (int i = 0; i < 8; ++i) {
       const TicketId id = RunSpine(service, *db, false, 50);
       EXPECT_EQ(service.ticket(id).status, TicketStatus::kDone);
+      SampleStream stream;
+      stream.samples = service.ticket(id).session->samples();
+      stream.tasks = service.ticket(id).task_boundaries;
+      stream.reopt = service.reopt_events();
       std::ostringstream out;
-      WriteSamples(service.ticket(id).session->samples(), {}, service.ticket(id).task_boundaries,
-                   {}, service.reopt_events(), out);
+      WriteSamples(stream, out);
       artifacts->push_back(out.str());
     }
     std::ostringstream state;

@@ -1,6 +1,6 @@
 // Trace-format unit tests: plan codec round-trips over the whole TPC-H suite, token escaping,
-// serialize->parse->serialize fixed points for seeded random traces, version-token rejection
-// for future versions, and truncated/corrupt-line error paths.
+// serialize->parse->serialize fixed points for seeded random traces, and truncated/corrupt-line
+// error paths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -148,6 +148,25 @@ WorkloadTrace RandomTrace(uint64_t seed) {
   fp.top_operator = "scan lineitem";
   fp.top_operator_samples = rng.Below(10000);
   s.fingerprints.push_back(std::move(fp));
+
+  // Scheduling and re-optimization knobs, drawn last so the draws above keep their values.
+  // Guard doubles must survive bit-exactly (they are IEEE-754 hex on the wire), including
+  // values with no short decimal form.
+  TraceKnobs& k = trace.knobs;
+  k.slack_scheduling = rng.Below(2) != 0;
+  k.placement_repair = rng.Below(2) != 0;
+  k.deadline_admission = rng.Below(2) != 0;
+  k.slack_max_age = 1 + rng.Below(128);
+  k.repair_pessimize = rng.Below(2) != 0;
+  k.reopt_enabled = rng.Below(2) != 0;
+  k.reopt_divergence_pct = 100 + rng.Below(900);
+  k.reopt_min_executions = 1 + rng.Below(8);
+  k.reopt_semi_join_reduction = rng.Below(2) != 0;
+  k.reopt_semi_join_blowup_pct = 100 + rng.Below(400);
+  k.reopt_pessimize = rng.Below(2) != 0;
+  k.reopt_guard.cycles_per_row_ratio = 1.0 + 1.0 / static_cast<double>(2 + rng.Below(7));
+  k.reopt_guard.remote_share_drift = 0.01 * static_cast<double>(1 + rng.Below(20));
+  k.reopt_guard.min_samples = rng.Below(64);
   return trace;
 }
 
@@ -220,9 +239,40 @@ TEST(PlanCodecTest, MalformedPlansThrow) {
   EXPECT_THROW(
       ParsePlanText("op 0 1 0 0 0 -1 0 0000000000000000 - % 0 0 0 0 0 0 0 junk\nendplan\n", *db),
       Error);
+  // The estimate is exactly 16 lowercase hex digits, never read up to its first bad digit.
+  EXPECT_THROW(
+      ParsePlanText("op 0 1 0 0 0 -1 0 00000000000zzzzz - % 0 0 0 0 0 0 0\nendplan\n", *db),
+      Error);
   // Missing endplan terminator.
   EXPECT_THROW(ParsePlanText("op 0 1 0 0 0 -1 0 0000000000000000 - % 0 0 0 0 0 0 0\n", *db),
                Error);
+}
+
+TEST(PlanCodecTest, NegativeUnsignedFieldsAreMalformed) {
+  // The operator id, child count, bound rows and output count are unsigned: a '-' on any of
+  // them — even "-0" — is corrupt input, never a wrapped or silently accepted value.
+  auto db = MakeDb();
+  const std::string text = EncodePlanText(*BuildQueryPlan(*db, FindQuery("q6")));
+  ASSERT_NE(ParsePlanText(text, *db), nullptr);
+  const size_t eol = text.find('\n');
+  std::vector<std::string> tokens;
+  {
+    std::istringstream fields(text.substr(0, eol));
+    for (std::string token; fields >> token;) {
+      tokens.push_back(token);
+    }
+  }
+  ASSERT_GT(tokens.size(), 11u);
+  ASSERT_EQ(tokens[0], "op");
+  for (size_t field : {2u, 3u, 7u, 11u}) {
+    std::vector<std::string> bad = tokens;
+    bad[field] = "-" + bad[field];
+    std::string line;
+    for (const std::string& token : bad) {
+      line += (line.empty() ? "" : " ") + token;
+    }
+    EXPECT_THROW(ParsePlanText(line + text.substr(eol), *db), Error) << line;
+  }
 }
 
 TEST(TraceFormatTest, SeededRandomTracesReachSerializationFixedPoint) {
@@ -246,73 +296,6 @@ TEST(TraceFormatTest, SeededRandomTracesReachSerializationFixedPoint) {
     // ...and write(parse(text)) == text: the canonical form is a fixed point.
     EXPECT_EQ(EncodeTraceText(parsed), text) << "seed " << seed;
   }
-}
-
-TEST(TraceFormatTest, FutureVersionsAreRejected) {
-  const WorkloadTrace trace = RandomTrace(7);
-  std::string text = EncodeTraceText(trace);
-  ASSERT_EQ(text.rfind("# dfp trace v1\n", 0), 0u);
-
-  for (const std::string version : {"4", "17", "999"}) {
-    std::string future = "# dfp trace v" + version + text.substr(text.find('\n'));
-    std::istringstream in(future);
-    try {
-      ReadTrace(in);
-      FAIL() << "v" << version << " accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("newer"), std::string::npos) << e.what();
-    }
-  }
-  // Non-trace input is rejected up front.
-  std::istringstream not_a_trace("# dfp samples v4\n");
-  EXPECT_THROW(ReadTrace(not_a_trace), Error);
-  std::istringstream empty("");
-  EXPECT_THROW(ReadTrace(empty), Error);
-}
-
-TEST(TraceFormatTest, ReoptKnobLineRoundTripsAsV3) {
-  // Content-driven versioning: the reopt knob line (and only it) promotes a trace to v3, so
-  // traces recorded with re-optimization off stay byte-identical v1/v2 files.
-  WorkloadTrace trace = RandomTrace(3);
-  ASSERT_EQ(EncodeTraceText(trace).rfind("# dfp trace v1\n", 0), 0u);
-
-  trace.knobs.reopt_enabled = true;
-  trace.knobs.reopt_divergence_pct = 250;
-  trace.knobs.reopt_min_executions = 5;
-  trace.knobs.reopt_semi_join_reduction = true;
-  trace.knobs.reopt_semi_join_blowup_pct = 175;
-  trace.knobs.reopt_pessimize = true;
-  // Guard doubles must survive bit-exactly (they are IEEE-754 hex on the wire), including
-  // values with no short decimal form.
-  trace.knobs.reopt_guard.cycles_per_row_ratio = 1.0 + 1.0 / 3.0;
-  trace.knobs.reopt_guard.remote_share_drift = 0.07;
-  trace.knobs.reopt_guard.min_samples = 11;
-  const std::string text = EncodeTraceText(trace);
-  ASSERT_EQ(text.rfind("# dfp trace v3\n", 0), 0u);
-  EXPECT_NE(text.find("\nreopt 1 250 5 1 175 1 "), std::string::npos);
-
-  std::istringstream in(text);
-  const WorkloadTrace parsed = ReadTrace(in);
-  EXPECT_TRUE(parsed.knobs == trace.knobs);
-  EXPECT_EQ(parsed.knobs.reopt_guard.cycles_per_row_ratio, 1.0 + 1.0 / 3.0);
-  EXPECT_EQ(EncodeTraceText(parsed), text);
-
-  // A corrupt reopt line throws instead of silently reverting to defaults.
-  std::string bad = text;
-  const size_t at = bad.find("\nreopt 1 250");
-  ASSERT_NE(at, std::string::npos);
-  bad.replace(at, 12, "\nreopt 1 bad");
-  std::istringstream bad_in(bad);
-  EXPECT_THROW(ReadTrace(bad_in), Error);
-
-  // Non-default guard thresholds alone (reopt disabled) still force the v3 line: a replayed
-  // keep/revert verdict must judge by the recorded bar, not the current build's default.
-  WorkloadTrace guard_only = RandomTrace(4);
-  guard_only.knobs.reopt_guard.min_samples = 40;
-  const std::string guard_text = EncodeTraceText(guard_only);
-  ASSERT_EQ(guard_text.rfind("# dfp trace v3\n", 0), 0u);
-  std::istringstream guard_in(guard_text);
-  EXPECT_EQ(ReadTrace(guard_in).knobs.reopt_guard.min_samples, 40u);
 }
 
 TEST(TraceFormatTest, TruncationAndCorruptionThrow) {
@@ -341,6 +324,66 @@ TEST(TraceFormatTest, TruncationAndCorruptionThrow) {
   corrupt("\nquery 1 ", "\nquery 99 ");   // Out-of-order seq.
   corrupt("\ndone 1 ", "\ndone 9999 ");   // Unknown seq reference.
   corrupt("\nend\n", "\n");               // Missing end marker.
+  corrupt("\nsched ", "\nsched x ");      // Non-numeric scheduling knob.
+  corrupt("\nreopt ", "\nreopt bad ");    // A corrupt reopt line never reverts to defaults.
+  corrupt("\nsched ", "\nbogus ");        // The knob lines are required right after costs.
+  corrupt("\ntemplate ", "\ntemplate 12xyz"); // Hex key that is not 16 lowercase digits.
+
+  // Non-trace input is rejected up front.
+  std::istringstream not_a_trace("# dfp samples v8\n");
+  EXPECT_THROW(ReadTrace(not_a_trace), Error);
+  std::istringstream empty("");
+  EXPECT_THROW(ReadTrace(empty), Error);
+}
+
+TEST(TraceFormatTest, NegativeUnsignedFieldsAreMalformed) {
+  const std::string text = EncodeTraceText(RandomTrace(11));
+  auto negate = [&text](const std::string& keyword) {
+    // Prefixes the first field after `keyword` with a '-'.
+    std::string bad = text;
+    const size_t at = bad.find("\n" + keyword + " ");
+    EXPECT_NE(at, std::string::npos) << keyword;
+    bad.insert(at + keyword.size() + 2, "-");
+    std::istringstream in(bad);
+    EXPECT_THROW(ReadTrace(in), Error) << keyword;
+  };
+  negate("catalog");  // Catalog version.
+  negate("start");    // Start clock.
+  negate("knobs");    // Worker count.
+  negate("costs");    // Base compile cycles.
+  negate("query");    // Sequence number.
+  negate("done");     // Sequence number.
+}
+
+TEST(TraceFormatTest, SchedAndReoptKnobLinesAreAlwaysWritten) {
+  // Default knobs are written like any others: the sched and reopt lines follow costs in every
+  // trace, and a trace without them is malformed.
+  const WorkloadTrace trace;
+  const std::string text = EncodeTraceText(trace);
+  std::istringstream lines(text);
+  std::vector<std::string> keywords;
+  for (std::string line; std::getline(lines, line);) {
+    keywords.push_back(line.substr(0, line.find(' ')));
+  }
+  ASSERT_GE(keywords.size(), 7u);
+  EXPECT_EQ(text.rfind("# dfp trace v4\n", 0), 0u);
+  EXPECT_EQ(keywords[1], "catalog");
+  EXPECT_EQ(keywords[2], "start");
+  EXPECT_EQ(keywords[3], "knobs");
+  EXPECT_EQ(keywords[4], "costs");
+  EXPECT_EQ(keywords[5], "sched");
+  EXPECT_EQ(keywords[6], "reopt");
+  std::istringstream in(text);
+  EXPECT_TRUE(ReadTrace(in).knobs == trace.knobs);
+
+  for (const std::string& keyword : {"sched", "reopt"}) {
+    std::string bad = text;
+    const size_t at = bad.find("\n" + keyword + " ");
+    ASSERT_NE(at, std::string::npos);
+    bad.erase(at + 1, bad.find('\n', at + 1) - at);
+    std::istringstream without(bad);
+    EXPECT_THROW(ReadTrace(without), Error) << keyword;
+  }
 }
 
 TEST(TraceFormatTest, KnobsRoundTripThroughServiceConfig) {

@@ -1,8 +1,8 @@
 // Profile-feedback scheduling through the serving layer (DESIGN.md §2h): slack-directed deque
 // ordering engages from the second execution and keeps results byte-identical to FIFO and
 // deterministic across double runs; slack-aware admission bounces infeasible deadlines from
-// the expected critical-path length; the SlackStore round-trips through the service state file
-// (profile v5); and the guarded placement-repair loop turns a remote-DRAM-bound verdict into
+// the expected critical-path length; the SlackStore round-trips through the service state
+// file; and the guarded placement-repair loop turns a remote-DRAM-bound verdict into
 // exactly one re-partition — kept when it wins, reverted when repair_pessimize makes it lose.
 #include <gtest/gtest.h>
 
@@ -110,8 +110,11 @@ TEST(SchedFeedback, DoubleRunSlackSchedulingIsDeterministic) {
       const TicketId id = RunOne(service, *db, name);
       const QueryTicket& ticket = service.ticket(id);
       EXPECT_EQ(ticket.status, TicketStatus::kDone);
+      SampleStream stream;
+      stream.samples = ticket.session->samples();
+      stream.tasks = ticket.task_boundaries;
       std::ostringstream out;
-      WriteSamples(ticket.session->samples(), {}, ticket.task_boundaries, out);
+      WriteSamples(stream, out);
       streams->push_back(out.str());
     }
     std::ostringstream state;
@@ -190,13 +193,13 @@ TEST(SchedFeedback, SlackStoreRoundTripsThroughServiceState) {
     ASSERT_EQ(generation, 2u);
   }  // Destructor persists the state, slack store included.
 
-  // A slack-carrying state file is profile v5 with the slackgen/slack/slackstep grammar.
+  // A slack-carrying state file has the slackgen/slack/slackstep lines.
   std::ifstream in(config.state_path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
-  EXPECT_NE(text.find("# dfp service profile v5"), std::string::npos);
+  EXPECT_EQ(text.rfind("# dfp service profile v6\n", 0), 0u);
   EXPECT_NE(text.find("\nslackgen "), std::string::npos);
   EXPECT_NE(text.find("\nslack "), std::string::npos);
   EXPECT_NE(text.find("\nslackstep "), std::string::npos);

@@ -53,8 +53,10 @@ uint64_t TotalCodeIps(const CodeMap& code_map) {
 }
 
 std::string DumpSamples(const ProfilingSession& session) {
+  SampleStream stream;
+  stream.samples = session.samples();
   std::ostringstream out;
-  WriteSamples(session.samples(), out);
+  WriteSamples(stream, out);
   return out.str();
 }
 
@@ -374,7 +376,7 @@ TEST(QueryServiceTest, ServiceProfileRoundTripsThroughText) {
   // Malformed inputs are rejected, not guessed at.
   std::istringstream bad_header("# not a profile\n");
   EXPECT_THROW(ReadServiceProfile(bad_header), Error);
-  std::istringstream orphan_op("# dfp service profile v1\nop 0000000000000001 3 5 scan\n");
+  std::istringstream orphan_op("# dfp service profile v6\nop 0000000000000001 3 5 scan\n");
   EXPECT_THROW(ReadServiceProfile(orphan_op), Error);
 }
 

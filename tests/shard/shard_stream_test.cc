@@ -1,6 +1,5 @@
-// Sample stream v7: shard attribution (D tokens) and cross-node locality (X tokens). The
-// header is content-driven — shard-free streams keep their pre-v7 headers byte-identically —
-// and pre-v7 readers of the new tokens must fail loudly, never silently drop attribution.
+// Sample-stream shard attribution (D tokens) and cross-node locality (X tokens): both survive
+// the round trip byte-stably, and an unsharded sample carries neither token.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -15,12 +14,14 @@ namespace dfp {
 namespace {
 
 std::string Write(const std::vector<Sample>& samples) {
+  SampleStream stream;
+  stream.samples = samples;
   std::ostringstream out;
-  WriteSamples(samples, out);
+  WriteSamples(stream, out);
   return out.str();
 }
 
-TEST(ShardStream, V7RoundTripPreservesShardAndCrossNode) {
+TEST(ShardStream, RoundTripPreservesShardAndCrossNode) {
   std::vector<Sample> samples(3);
   samples[0].tsc = 10;
   samples[0].ip = 0x1000;
@@ -36,12 +37,11 @@ TEST(ShardStream, V7RoundTripPreservesShardAndCrossNode) {
   samples[2].ip = 0x1020;  // Shard-less coordinator sample in the same stream.
 
   const std::string text = Write(samples);
-  EXPECT_EQ(text.substr(0, text.find('\n')), "# dfp samples v7");
   EXPECT_NE(text.find(" D 2"), std::string::npos);
   EXPECT_NE(text.find(" X 1"), std::string::npos);
 
   std::istringstream in(text);
-  const std::vector<Sample> read = ReadSamples(in);
+  const std::vector<Sample> read = ReadSamples(in).samples;
   ASSERT_EQ(read.size(), samples.size());
   for (size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(read[i].tsc, samples[i].tsc);
@@ -55,55 +55,8 @@ TEST(ShardStream, V7RoundTripPreservesShardAndCrossNode) {
   EXPECT_EQ(Write(read), text);
 }
 
-TEST(ShardStream, ShardFreeStreamsKeepPreV7Headers) {
-  // A worker-0, shard-0 sample is the original v1 format; adding a worker id moves to v2,
-  // NUMA locality to v3 — never to v7. Pre-shard archives stay byte-identical.
-  std::vector<Sample> plain(1);
-  plain[0].tsc = 5;
-  plain[0].ip = 0x2000;
-  EXPECT_EQ(Write(plain).substr(0, 16), "# dfp samples v1");
-
-  plain[0].worker_id = 2;
-  EXPECT_EQ(Write(plain).substr(0, 16), "# dfp samples v2");
-
-  plain[0].mem_node = 0;
-  plain[0].numa_remote = true;
-  const std::string v3 = Write(plain);
-  EXPECT_EQ(v3.substr(0, 16), "# dfp samples v3");
-  EXPECT_EQ(v3.find(" D "), std::string::npos);
-  EXPECT_EQ(v3.find(" X "), std::string::npos);
-}
-
-TEST(ShardStream, PreV7CompatStreamsStillParse) {
-  const char* streams[] = {
-      "# dfp samples v1\nsample 1 4096 0\n",
-      "# dfp samples v2\nsample 1 4096 0 W 3\n",
-      "# dfp samples v3\nsample 1 4096 36864 W 1 N 0 1 T\n",
-  };
-  for (const char* text : streams) {
-    std::istringstream in(text);
-    const std::vector<Sample> read = ReadSamples(in);
-    ASSERT_EQ(read.size(), 1u) << text;
-    EXPECT_EQ(read[0].shard_id, 0u);
-    EXPECT_FALSE(read[0].cross_node);
-  }
-}
-
-TEST(ShardStream, ShardTokensRejectedInPreV7Streams) {
-  std::istringstream shard_in("# dfp samples v6\nsample 1 4096 0 D 1\n");
-  EXPECT_THROW(ReadSamples(shard_in), Error);
-  std::istringstream cross_in("# dfp samples v6\nsample 1 4096 4096 X 1\n");
-  EXPECT_THROW(ReadSamples(cross_in), Error);
-}
-
-TEST(ShardStream, FutureVersionsRejected) {
-  std::istringstream in("# dfp samples v9\nsample 1 4096 0\n");
-  EXPECT_THROW(ReadSamples(in), Error);
-}
-
 TEST(ShardStream, ZeroShardIdNeverSerialized) {
-  // shard_id 0 means "no shard" — it must not emit a D token (that would force v7 on every
-  // unsharded stream and break pre-shard byte-identity).
+  // shard_id 0 means "no shard" — it must not emit a D token (the reader rejects D 0).
   std::vector<Sample> samples(1);
   samples[0].tsc = 1;
   samples[0].ip = 0x3000;

@@ -189,14 +189,17 @@ TEST(TierLadderTest, TieredSamplesRoundTripWithEvents) {
 
   // Baseline-tier samples carry their tier through serialization, alongside the service's
   // tier-transition events.
+  SampleStream stream;
+  stream.samples = service.ticket(last).session->samples();
+  stream.events = service.tier_events();
   std::ostringstream out;
-  WriteSamples(service.ticket(last).session->samples(), service.tier_events(), out);
-  EXPECT_NE(out.str().find("# dfp samples v4"), std::string::npos);
+  WriteSamples(stream, out);
   EXPECT_NE(out.str().find("event "), std::string::npos);
 
   std::istringstream in(out.str());
-  std::vector<SampleStreamEvent> events;
-  const std::vector<Sample> samples = ReadSamples(in, &events);
+  const SampleStream reread = ReadSamples(in);
+  const std::vector<SampleStreamEvent>& events = reread.events;
+  const std::vector<Sample>& samples = reread.samples;
   ASSERT_EQ(events.size(), service.tier_events().size());
   EXPECT_EQ(events[0].text, service.tier_events()[0].text);
   ASSERT_EQ(samples.size(), service.ticket(last).session->samples().size());

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/util/chart.h"
+#include "src/util/check.h"
 #include "src/util/date.h"
 #include "src/util/decimal.h"
 #include "src/util/hash.h"
@@ -130,6 +134,115 @@ TEST(Str, Format) {
   EXPECT_EQ(PadLeft("ab", 4), "  ab");
   EXPECT_EQ(PadRight("ab", 4), "ab  ");
   EXPECT_EQ(ToLower("AbC"), "abc");
+}
+
+TEST(Str, HexU64IsSixteenLowercaseDigitsAndParsesBack) {
+  EXPECT_EQ(HexU64(0), "0000000000000000");
+  EXPECT_EQ(HexU64(0xABCDEF), "0000000000abcdef");
+  EXPECT_EQ(HexU64(~0ull), "ffffffffffffffff");
+  for (uint64_t value :
+       {0ull, 1ull, 0x42ull, 0x8000000000000000ull, 0x0123456789abcdefull, ~0ull}) {
+    EXPECT_EQ(ParseHexU64(HexU64(value), "line"), value) << value;
+  }
+}
+
+TEST(Str, ParseHexU64RejectsAnythingButSixteenLowercaseDigits) {
+  // Each of these once read as a number, threw a std:: exception, or stopped at its first bad
+  // digit; every one must fail as dfp::Error naming the token and its line.
+  const std::vector<std::string> bad = {
+      "",                   // Empty.
+      "zz",                 // No hex digit at all.
+      "12xyz",              // Hex prefix, then junk.
+      "000000000000000",    // 15 digits.
+      "00000000000000042",  // 17 digits.
+      "000000000000004G",   // Non-hex digit in the last place.
+      "00000000000000AB",   // Uppercase.
+      "-000000000000001",   // Sign.
+      " 000000000000001",   // Leading blank.
+      "0x00000000000001",   // Prefix.
+  };
+  for (const std::string& token : bad) {
+    try {
+      ParseHexU64(token, "plan " + token + " q");
+      ADD_FAILURE() << "accepted '" << token << "'";
+    } catch (const Error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("'" + token + "'"), std::string::npos) << message;
+      EXPECT_NE(message.find("plan " + token + " q"), std::string::npos) << message;
+    }
+  }
+}
+
+TEST(Str, CheckFormatHeaderNamesTheVersionFound) {
+  EXPECT_NO_THROW(CheckFormatHeader("# dfp widgets v3", "# dfp widgets v", 3, "dfp widgets"));
+  for (const std::string& found : {"1", "2", "4", "30", "", "3 ", "3x"}) {
+    try {
+      CheckFormatHeader("# dfp widgets v" + found, "# dfp widgets v", 3, "dfp widgets");
+      ADD_FAILURE() << "accepted v" << found;
+    } catch (const Error& error) {
+      EXPECT_EQ(std::string(error.what()), "dfp widgets file has version v" + found +
+                                               " but this build reads only v3: regenerate with "
+                                               "this build");
+    }
+  }
+  for (const std::string& header : {"", "# dfp gadgets v3", "# dfp widget v3", "dfp widgets v3"}) {
+    try {
+      CheckFormatHeader(header, "# dfp widgets v", 3, "dfp widgets");
+      ADD_FAILURE() << "accepted '" << header << "'";
+    } catch (const Error& error) {
+      EXPECT_EQ(std::string(error.what()), "not a dfp widgets file") << header;
+    }
+  }
+}
+
+TEST(Str, FieldStreamRejectsNegativeUnsignedFields) {
+  // A plain istream reads "-1" into an unsigned field as the type's maximum.
+  {
+    std::istringstream plain("-1");
+    uint32_t value = 0;
+    ASSERT_TRUE(static_cast<bool>(plain >> value));
+    EXPECT_EQ(value, 4294967295u);
+  }
+  {
+    std::istringstream stream = FieldStream("7 -1");
+    uint32_t first = 0;
+    uint32_t second = 0;
+    EXPECT_TRUE(static_cast<bool>(stream >> first));
+    EXPECT_EQ(first, 7u);
+    EXPECT_FALSE(static_cast<bool>(stream >> second));
+  }
+  for (const char* line : {"-1", " -0", "-18446744073709551615"}) {
+    uint16_t u16 = 0;
+    uint32_t u32 = 0;
+    uint64_t u64 = 0;
+    size_t size = 0;
+    unsigned long long ull = 0;
+    std::istringstream a = FieldStream(line);
+    std::istringstream b = FieldStream(line);
+    std::istringstream c = FieldStream(line);
+    std::istringstream d = FieldStream(line);
+    std::istringstream e = FieldStream(line);
+    EXPECT_FALSE(static_cast<bool>(a >> u16)) << line;
+    EXPECT_FALSE(static_cast<bool>(b >> u32)) << line;
+    EXPECT_FALSE(static_cast<bool>(c >> u64)) << line;
+    EXPECT_FALSE(static_cast<bool>(d >> size)) << line;
+    EXPECT_FALSE(static_cast<bool>(e >> ull)) << line;
+  }
+  // Signed and floating fields, words, and unsigned fields without a sign read as before.
+  std::istringstream stream = FieldStream("  -5 -2.5 word 18446744073709551615 +3 -1");
+  int64_t i64 = 0;
+  double real = 0;
+  std::string word;
+  uint64_t big = 0;
+  uint32_t plus = 0;
+  int negative = 0;
+  ASSERT_TRUE(static_cast<bool>(stream >> i64 >> real >> word >> big >> plus >> negative));
+  EXPECT_EQ(i64, -5);
+  EXPECT_EQ(real, -2.5);
+  EXPECT_EQ(word, "word");
+  EXPECT_EQ(big, ~0ull);
+  EXPECT_EQ(plus, 3u);
+  EXPECT_EQ(negative, -1);
 }
 
 TEST(TablePrinter, AlignsColumns) {
